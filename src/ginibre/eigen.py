@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-
 __all__ = ["EigensolverError", "eigenvalues", "eigenvalues_batch", "eigenvector"]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -281,11 +279,10 @@ def eigenvector(matrix: np.ndarray, eigenvalue: complex, sweeps: int = 3) -> np.
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lu, piv, _ = linalg.lu_factor(shifted)
     for _ in range(sweeps):
         try:
-            v = linalg.lu_solve(lu, piv, v)
-        except linalg.SingularMatrixError:
+            v = np.linalg.solve(shifted, v)
+        except np.linalg.LinAlgError:
             break
         v /= np.linalg.norm(v)
     return v

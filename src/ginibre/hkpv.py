@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BasisSubset
+from .kernels import BasisSubset, feature_vector
 from .records import RejectionDiagnostics
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "feature_vector",
     "conditional_density",
     "envelope_bound",
-    "adaptive_envelope",
     "rejection_step",
     "sample_projection_dpp",
     "sup_feature_norm_sq",
@@ -84,31 +83,6 @@ class OrthoState:
             raise OrthogonalityError("feature vector already in accepted span")
         self.ortho = np.vstack([self.ortho, w / norm_w])
         self.accepted.append(complex(z))
-
-
-def feature_vector(basis: BasisSubset, z) -> np.ndarray:
-    """(psi_i(z))_{i in basis}; the zero vector outside the basis disk.
-
-    Accepts a scalar or an array of points; the indexed axis is last for
-    scalars (shape (n,)) and first-from-last for arrays (shape (n, m)).
-    """
-    zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs) / basis.scale
-    absz = np.abs(zs)
-    inside = absz <= basis.radius * (1.0 + 1e-12)
-    idx = np.array(basis.indices)[:, None]
-    logmag = np.where(
-        absz[None, :] > 0.0,
-        idx * np.log(np.where(absz > 0.0, absz, 1.0))[None, :],
-        np.where(idx == 0, 0.0, -np.inf),
-    )
-    logmag = logmag - 0.5 * absz[None, :] ** 2
-    logmag = logmag - 0.5 * (math.log(math.pi) + basis.log_gamma_norms())[:, None]
-    angles = idx * np.angle(zs)[None, :]
-    out = np.exp(logmag) * np.exp(1j * angles)
-    out = np.where(inside[None, :], out, 0.0) / basis.scale
-    return out[:, 0] if scalar else out
 
 
 def sup_feature_norm_sq(basis: BasisSubset, grid: int = 256) -> float:
@@ -181,31 +155,6 @@ def envelope_bound(state: OrthoState, sup_norm_sq: float | None = None) -> float
     return sup_norm_sq / state.remaining
 
 
-def adaptive_envelope(state: OrthoState, z) -> np.ndarray:
-    """Pointwise repulsion-aware upper bound on p_i.
-
-    (1/i) min_k [K(z,z) - |K(z,X_k)|^2 / K(X_k,X_k)] over accepted X_k,
-    where K is the basis projection kernel. Equals ||v||^2/i when nothing
-    has been accepted yet. Used as a pre-test that rejects proposals
-    before the full density evaluation; the constant envelope still
-    governs the accept step, so correctness never depends on this bound.
-    """
-    v = feature_vector(state.basis, z)
-    scalar = v.ndim == 1
-    vv = v[:, None] if scalar else v
-    norm2 = np.einsum("nm,nm->m", vv.conj(), vv).real
-    bound = norm2.copy()
-    for x in state.accepted:
-        vx = feature_vector(state.basis, x)
-        kxx = float((vx.conj() @ vx).real)
-        if kxx <= 0.0:
-            continue
-        cross = np.abs(vx.conj() @ vv) ** 2 / kxx
-        bound = np.minimum(bound, norm2 - cross)
-    bound = np.maximum(bound, 0.0) / state.remaining
-    return float(bound[0]) if scalar else bound
-
-
 def _uniform_disk(rng: np.random.Generator, radius: float) -> complex:
     r = radius * math.sqrt(rng.random())
     theta = rng.uniform(-math.pi, math.pi)
@@ -215,16 +164,12 @@ def _uniform_disk(rng: np.random.Generator, radius: float) -> complex:
 def rejection_step(state: OrthoState, rng: np.random.Generator,
                    envelope: float,
                    diagnostics: RejectionDiagnostics | None = None,
-                   max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                   use_adaptive_pretest: bool = False) -> complex:
+                   max_proposals: int = DEFAULT_MAX_PROPOSALS) -> complex:
     """Exact draw from p_i by rejection from the uniform law on the disk."""
     radius = state.basis.disk_radius
     for attempt in range(1, max_proposals + 1):
         z = _uniform_disk(rng, radius)
         u = rng.random() * envelope
-        if use_adaptive_pretest and state.accepted:
-            if u >= adaptive_envelope(state, z):
-                continue
         if u < conditional_density(state, z):
             if diagnostics is not None:
                 diagnostics.record_step(attempt)
@@ -237,7 +182,6 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
 def sample_projection_dpp(basis: BasisSubset, rng: np.random.Generator,
                           diagnostics: RejectionDiagnostics | None = None,
                           max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                          use_adaptive_pretest: bool = False,
                           sup_norm_sq: float | None = None) -> np.ndarray:
     """Draw the n-point projection process defined by the basis.
 
@@ -250,7 +194,6 @@ def sample_projection_dpp(basis: BasisSubset, rng: np.random.Generator,
     state = OrthoState(basis=basis)
     while state.remaining > 0:
         envelope = sup_norm_sq / state.remaining
-        z = rejection_step(state, rng, envelope, diagnostics,
-                           max_proposals, use_adaptive_pretest)
+        z = rejection_step(state, rng, envelope, diagnostics, max_proposals)
         state.add_point(z)
     return np.array(state.accepted, dtype=complex)

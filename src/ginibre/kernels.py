@@ -7,8 +7,8 @@ points on the disk of radius sqrt(N).
 
 All eigenfunction arithmetic is done as (log magnitude, phase): the raw
 monomials z^n / sqrt(n!) overflow doubles near n ~ 150, while their
-normalized combinations are tame. Linear values only materialize at API
-boundaries.
+normalized combinations are tame. Linear values only materialize as the
+last step of feature_vector and of the kernel series.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .specfun import (
-    LogValue,
     log_factorial,
-    log_polar,
     log_regularized_lower_gamma,
     log_regularized_upper_gamma,
     regularized_upper_gamma,
@@ -33,10 +30,9 @@ __all__ = [
     "SpectrumProfile",
     "spectrum_profile",
     "BasisSubset",
+    "feature_vector",
     "ginibre_kernel",
     "truncated_kernel",
-    "projected_eigenfunction",
-    "projected_eigenfunction_log",
     "conditioned_kernel",
     "radial_intensity",
     "IntensityBounds",
@@ -170,6 +166,32 @@ class BasisSubset:
         return self._norm_logs
 
 
+def feature_vector(basis: BasisSubset, z) -> np.ndarray:
+    """(psi_i(z))_{i in basis}; the zero vector outside the basis disk.
+
+    psi_i is the disk eigenfunction z^i e^{-|z|^2/2} / sqrt(pi gamma(i+1,
+    R^2)), evaluated in log space and exponentiated last. Accepts a scalar or an array of points; the indexed axis is last for
+    scalars (shape (n,)) and first-from-last for arrays (shape (n, m)).
+    """
+    zs = np.asarray(z, dtype=complex)
+    scalar = zs.ndim == 0
+    zs = np.atleast_1d(zs) / basis.scale
+    absz = np.abs(zs)
+    inside = absz <= basis.radius * (1.0 + 1e-12)
+    idx = np.array(basis.indices)[:, None]
+    logmag = np.where(
+        absz[None, :] > 0.0,
+        idx * np.log(np.where(absz > 0.0, absz, 1.0))[None, :],
+        np.where(idx == 0, 0.0, -np.inf),
+    )
+    logmag = logmag - 0.5 * absz[None, :] ** 2
+    logmag = logmag - 0.5 * (_LOG_PI + basis.log_gamma_norms())[:, None]
+    angles = idx * np.angle(zs)[None, :]
+    out = np.exp(logmag) * np.exp(1j * angles)
+    out = np.where(inside[None, :], out, 0.0) / basis.scale
+    return out[:, 0] if scalar else out
+
+
 # ---------------------------------------------------------------------------
 # kernel evaluation
 
@@ -212,34 +234,6 @@ def truncated_kernel(n_rank: int, z1: complex, z2: complex) -> complex:
     return _kernel_sum(log_coeffs, complex(z1), complex(z2))
 
 
-def projected_eigenfunction_log(n: int, radius: float, z: complex) -> LogValue:
-    """Disk eigenfunction z^n e^{-|z|^2/2} / sqrt(pi gamma(n+1, R^2)).
-
-    Zero outside the closed disk. Returned in log form; safe for n in the
-    thousands where the linear value would overflow mid-computation.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    z = complex(z)
-    absz = abs(z)
-    if absz > radius * (1.0 + 1e-12):
-        return LogValue(-math.inf)
-    log_norm = log_regularized_lower_gamma(n + 1, radius * radius) + log_factorial(n)
-    if absz == 0.0:
-        if n == 0:
-            return LogValue(-0.5 * (_LOG_PI + log_norm))
-        return LogValue(-math.inf)
-    logmag = n * math.log(absz) - 0.5 * absz * absz - 0.5 * (_LOG_PI + log_norm)
-    return log_polar(logmag, n * math.atan2(z.imag, z.real))
-
-
-def projected_eigenfunction(n: int, radius: float, z: complex) -> complex:
-    """Linear-scale value of the disk eigenfunction (0 outside the disk)."""
-    return projected_eigenfunction_log(n, radius, z).to_linear()
-
-
 def conditioned_kernel(n_points: int, z1: complex, z2: complex) -> complex:
     """Rank-N projection kernel on B_sqrt(N): the truncated process
     conditioned to all N points falling inside that disk."""
@@ -250,11 +244,8 @@ def conditioned_kernel(n_points: int, z1: complex, z2: complex) -> complex:
     radius = math.sqrt(n_points)
     if abs(z1) > radius * (1 + 1e-12) or abs(z2) > radius * (1 + 1e-12):
         return 0.0j
-    log_coeffs = -np.array(
-        [log_regularized_lower_gamma(n + 1, float(n_points)) + log_factorial(n)
-         for n in range(n_points)]
-    )
-    return _kernel_sum(log_coeffs, z1, z2)
+    basis = BasisSubset(radius, tuple(range(n_points)))
+    return _kernel_sum(-basis.log_gamma_norms(), z1, z2)
 
 
 def radial_intensity(n_rank: int, r: float) -> float:
@@ -308,13 +299,6 @@ def intensity_bounds(n_rank: int, r: float) -> IntensityBounds:
 _ORACLE_MAX_RANK = 12
 
 
-def _eigenfunction_matrix(indices, radius: float, points) -> np.ndarray:
-    """Matrix phi^R_index(z_p): rows points, columns indices."""
-    return np.array(
-        [[projected_eigenfunction(i, radius, z) for i in indices] for z in points]
-    )
-
-
 def janossy_oracle(n_rank: int, radius: float, points) -> float:
     """k-point Janossy density of the truncated-projected process on B_R.
 
@@ -341,18 +325,18 @@ def janossy_oracle(n_rank: int, radius: float, points) -> float:
     if k == 0:
         return math.exp(log_hole)
 
-    phi = _eigenfunction_matrix(range(n_rank), radius, pts)  # (k, N)
+    phi = feature_vector(BasisSubset(radius, tuple(range(n_rank))), pts).T  # (k, N)
 
     # route (i): Det(I - K) * det(J(z_i, z_j)) with J = sum (lam/(1-lam)) phi phi*
     jmat = (phi * np.exp(log_p - log_q)) @ phi.conj().T
-    det_route = math.exp(log_hole) * linalg.lu_det(jmat).real
+    det_route = math.exp(log_hole) * np.linalg.det(jmat).real
 
     # route (ii): Cauchy-Binet over index subsets
     weighted = phi * np.exp(0.5 * (log_p - log_q))
     subset_sum = 0.0
     for subset in itertools.combinations(range(n_rank), k):
         sub = weighted[:, subset]
-        subset_sum += abs(linalg.lu_det(sub)) ** 2
+        subset_sum += abs(np.linalg.det(sub)) ** 2
     cb_route = math.exp(log_hole) * subset_sum
 
     scale = max(abs(det_route), abs(cb_route), 1e-300)
@@ -395,10 +379,8 @@ def conditioned_kernel_max_deviation(n_rank: int, radius: float = 1.0,
     """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    inv_gamma = np.exp(
-        -np.array([log_regularized_lower_gamma(n + 1, float(n_rank)) + log_factorial(n)
-                   for n in range(n_rank)])
-    )
+    basis = BasisSubset(math.sqrt(n_rank), tuple(range(n_rank)))
+    inv_gamma = np.exp(-basis.log_gamma_norms())
     rr = np.linspace(0.0, radius * radius, grid)
     th = np.linspace(0.0, math.pi, grid)
     w = rr[:, None] * np.exp(1j * th[None, :])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -46,14 +47,12 @@ class GinibreDiskSampler:
     """Ginibre process on B_R via spectrum thinning + sequential sampling."""
 
     def __init__(self, radius: float, epsilon: float = 1e-12,
-                 max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS,
-                 use_adaptive_pretest: bool = False):
+                 max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS):
         if radius < 0.0:
             raise ValueError("radius must be nonnegative")
         self.radius = float(radius)
         self.epsilon = float(epsilon)
         self.max_proposals = max_proposals
-        self.use_adaptive_pretest = use_adaptive_pretest
         self.profile: SpectrumProfile = spectrum_profile(radius, epsilon)
         self.table = point_count.count_table(self.profile)
         self._sup_cache: dict[tuple[int, ...], float] = {}
@@ -73,7 +72,6 @@ class GinibreDiskSampler:
             points = hkpv.sample_projection_dpp(
                 basis, rng, diagnostics=diagnostics,
                 max_proposals=self.max_proposals,
-                use_adaptive_pretest=self.use_adaptive_pretest,
                 sup_norm_sq=sup,
             )
         return SampleSet(
@@ -84,29 +82,14 @@ class GinibreDiskSampler:
 
     def sample_batch(self, seed: int, count: int, offset: int = 0,
                      workers: int = 1) -> list[SampleSet]:
-        if workers > 1 and count >= 64:
-            jobs = [(self.radius, self.epsilon, seed, offset + start, size)
-                    for start, size in _split_spans(count, workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_disk_worker, jobs))
-            return [s for part in parts for s in part]
-        return [
-            self.sample(stream_rng(seed, offset + i), seed=child_seed(seed, offset + i))
-            for i in range(count)
-        ]
-
-
-def _disk_worker(args) -> list[SampleSet]:
-    radius, epsilon, seed, start, size = args
-    return GinibreDiskSampler(radius, epsilon).sample_batch(seed, size, offset=start)
+        return _sequential_batch(self, seed, count, offset, workers)
 
 
 class ConditionedSampler:
     """Rank-N process conditioned to N points on B_a (homothetic output)."""
 
     def __init__(self, n_points: int, target_radius: float | None = None,
-                 max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS,
-                 use_adaptive_pretest: bool = False):
+                 max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS):
         if n_points < 1:
             raise ValueError("point count must be >= 1")
         self.n_points = int(n_points)
@@ -115,7 +98,6 @@ class ConditionedSampler:
         if self.target_radius <= 0.0:
             raise ValueError("target radius must be positive")
         self.max_proposals = max_proposals
-        self.use_adaptive_pretest = use_adaptive_pretest
         self.basis = BasisSubset(radius=root_n, indices=tuple(range(self.n_points)))
         self.sup_norm_sq = hkpv.sup_feature_norm_sq(self.basis)
         self.scale_out = self.target_radius / root_n
@@ -125,7 +107,6 @@ class ConditionedSampler:
         raw = hkpv.sample_projection_dpp(
             self.basis, rng, diagnostics=diagnostics,
             max_proposals=self.max_proposals,
-            use_adaptive_pretest=self.use_adaptive_pretest,
             sup_norm_sq=self.sup_norm_sq,
         )
         return SampleSet(
@@ -136,21 +117,22 @@ class ConditionedSampler:
 
     def sample_batch(self, seed: int, count: int, offset: int = 0,
                      workers: int = 1) -> list[SampleSet]:
-        if workers > 1 and count >= 64:
-            jobs = [(self.n_points, self.target_radius, seed, offset + start, size)
-                    for start, size in _split_spans(count, workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_conditioned_worker, jobs))
-            return [s for part in parts for s in part]
-        return [
-            self.sample(stream_rng(seed, offset + i), seed=child_seed(seed, offset + i))
-            for i in range(count)
-        ]
+        return _sequential_batch(self, seed, count, offset, workers)
 
 
-def _conditioned_worker(args) -> list[SampleSet]:
-    n_points, target_radius, seed, start, size = args
-    return ConditionedSampler(n_points, target_radius).sample_batch(seed, size, offset=start)
+def _sequential_batch(sampler, seed: int, count: int, offset: int,
+                      workers: int = 1) -> list[SampleSet]:
+    """Draws offset .. offset+count-1 of a sequential sampler.
+
+    Workers receive the configured sampler itself, so its proposal cap
+    and epsilon hold for any worker count.
+    """
+    if workers > 1 and count >= 64:
+        return _fan_out(partial(_sequential_batch, sampler, seed), count, offset, workers)
+    return [
+        sampler.sample(stream_rng(seed, offset + i), seed=child_seed(seed, offset + i))
+        for i in range(count)
+    ]
 
 
 def sample_ginibre_on_disk(radius: float, seed: int, epsilon: float = 1e-12) -> SampleSet:
@@ -184,23 +166,29 @@ def _matrix_batch_serial(n_points: int, seed: int, count: int, offset: int,
     return out
 
 
-def _matrix_worker(args) -> list[SampleSet]:
-    return _matrix_batch_serial(*args)
-
-
 def sample_matrix_batch(n_points: int, seed: int, count: int, offset: int = 0,
                         chunk: int = 512, entry_scale: float = 1.0,
                         workers: int = 1) -> list[SampleSet]:
     """Matrix-route batch; sample i always uses stream (seed, offset + i),
     so the result is byte-identical for any chunk size or worker count."""
-    if workers <= 1 or count < 2 * chunk:
-        return _matrix_batch_serial(n_points, seed, count, offset, chunk, entry_scale)
+    if workers > 1 and count >= 2 * chunk:
+        span = partial(_matrix_batch_serial, n_points, seed,
+                       chunk=chunk, entry_scale=entry_scale)
+        return _fan_out(span, count, offset, workers)
+    return _matrix_batch_serial(n_points, seed, count, offset, chunk, entry_scale)
+
+
+def _fan_out(span, count: int, offset: int, workers: int) -> list[SampleSet]:
+    """span(size, start) over one contiguous span per worker, in order.
+
+    span must be picklable; it runs in a worker process and returns the
+    samples of indices start .. start+size-1.
+    """
     spans = _split_spans(count, workers)
-    jobs = [(n_points, seed, size, offset + start, chunk, entry_scale)
-            for start, size in spans]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_matrix_worker, jobs))
-    return [s for part in parts for s in part]
+        parts = pool.map(span, [size for _, size in spans],
+                         [offset + start for start, _ in spans])
+        return [s for part in parts for s in part]
 
 
 def _split_spans(count: int, parts: int) -> list[tuple[int, int]]:

@@ -16,12 +16,10 @@ class RejectionDiagnostics:
 
     proposals: int = 0
     acceptances: int = 0
-    step_rates: list = field(default_factory=list)
 
     def record_step(self, proposals: int) -> None:
         self.proposals += proposals
         self.acceptances += 1
-        self.step_rates.append(1.0 / proposals)
 
     @property
     def acceptance_rate(self) -> float:

@@ -1,25 +1,21 @@
 """Numerically stable special functions used throughout the library.
 
 Everything downstream (kernel eigenvalues, hole probabilities, point-count
-laws) reduces to regularized incomplete gamma functions and log-space
-products, so these are implemented here once, in log space, with a target
-relative accuracy of 1e-10 or better.
+laws) reduces to regularized incomplete gamma functions and log factorials, so
+these are implemented here once, in log space, with a target relative
+accuracy of 1e-10 or better.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "LogValue",
     "regularized_lower_gamma",
     "regularized_upper_gamma",
     "log_regularized_lower_gamma",
     "log_regularized_upper_gamma",
     "log_factorial",
-    "log_product_one_minus",
 ]
 
 _MAX_ITER = 200_000
@@ -121,54 +117,3 @@ def regularized_upper_gamma(a: float, x: float) -> float:
     result keeps full relative accuracy where P(a, x) is close to one.
     """
     return math.exp(log_regularized_upper_gamma(a, x))
-
-
-def log_product_one_minus(terms) -> float:
-    """ln prod_i (1 - t_i) for t_i in [0, 1), via log1p.
-
-    Safe for products as small as e**-1e6; the empty sequence gives 0.
-    """
-    total = 0.0
-    for t in terms:
-        if not 0.0 <= t < 1.0:
-            raise ValueError(f"terms must lie in [0, 1), got {t}")
-        total += math.log1p(-t)
-    return total
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real or complex value stored as (ln magnitude, unit phase).
-
-    Keeps quantities like z**n / sqrt(n!) representable far beyond the
-    double-precision range; the phase is a unit-modulus complex (or +-1
-    for real values). Zero is (log_magnitude=-inf, phase=1).
-    """
-
-    log_magnitude: float
-    phase: complex = 1.0 + 0.0j
-
-    @classmethod
-    def from_linear(cls, value: complex) -> "LogValue":
-        mag = abs(value)
-        if mag == 0.0:
-            return cls(-math.inf, 1.0 + 0.0j)
-        return cls(math.log(mag), value / mag)
-
-    def to_linear(self) -> complex:
-        return self.phase * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        phase = self.phase * other.phase
-        mod = abs(phase)
-        if mod > 0.0:
-            phase /= mod
-        return LogValue(self.log_magnitude + other.log_magnitude, phase)
-
-    def __abs__(self) -> float:
-        return math.exp(self.log_magnitude)
-
-
-def log_polar(log_magnitude: float, angle: float) -> LogValue:
-    """LogValue from ln magnitude and a phase angle in radians."""
-    return LogValue(log_magnitude, cmath.exp(1j * angle))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ginibre import eigen, hkpv, kernels, linalg, pipelines, validation
+from ginibre import eigen, hkpv, kernels, pipelines, validation
 from ginibre.kernels import BasisSubset, spectrum_profile
 from ginibre.streams import stream_rng
 

@@ -87,6 +87,12 @@ class TestSampleCommand:
         assert cli.main(["sample", "--method", "projected", "--n", "3"]) == 2
         assert cli.main(["sample", "--method", "conditioned", "--n", "3"]) == 2
 
+    def test_proposal_cap_exit_3_with_workers(self, tmp_path):
+        rc = cli.main(["sample", "--method", "conditioned", "--n", "20",
+                       "--radius", "2", "--count", "64", "--workers", "2",
+                       "--max-proposals", "1", "-o", str(tmp_path / "x.csv")])
+        assert rc == 3
+
     def test_env_epsilon_flag_precedence(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GINIBRE_EPSILON", "not-a-number")
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from ginibre import pipelines
+from ginibre.hkpv import RejectionCapError
 from ginibre.kernels import spectrum_profile
 from ginibre.streams import stream_rng
 
@@ -40,6 +41,11 @@ class TestDiskRoute:
         s = pipelines.sample_ginibre_on_disk(0.0, seed=3)
         assert len(s) == 0
 
+    def test_proposal_cap_holds_with_workers(self):
+        sampler = pipelines.GinibreDiskSampler(3.0, max_proposals=1)
+        with pytest.raises(RejectionCapError):
+            sampler.sample_batch(7, 64, workers=2)
+
 
 class TestConditionedRoute:
     def test_exact_count_inside_target(self):
@@ -62,6 +68,11 @@ class TestConditionedRoute:
     def test_default_target_is_root_n(self):
         sampler = pipelines.ConditionedSampler(4)
         assert sampler.target_radius == pytest.approx(2.0)
+
+    def test_proposal_cap_holds_with_workers(self):
+        sampler = pipelines.ConditionedSampler(20, max_proposals=1)
+        with pytest.raises(RejectionCapError):
+            sampler.sample_batch(7, 64, workers=2)
 
     def test_radial_intensity_matches_kernel_diagonal(self):
         from ginibre import validation

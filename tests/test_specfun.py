@@ -6,9 +6,7 @@ import pytest
 from scipy import integrate
 
 from ginibre.specfun import (
-    LogValue,
     log_factorial,
-    log_product_one_minus,
     log_regularized_lower_gamma,
     log_regularized_upper_gamma,
     regularized_lower_gamma,
@@ -111,68 +109,3 @@ class TestLogFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             log_factorial(-1)
-
-
-class TestLogProductOneMinus:
-    def test_empty(self):
-        assert log_product_one_minus([]) == 0.0
-
-    def test_two_halves(self):
-        assert log_product_one_minus([0.5, 0.5]) == pytest.approx(
-            math.log(0.25), rel=1e-14)
-
-    def test_tiny_terms(self):
-        # series: 1000 * -(t + t^2/2 + ...) at t = 1e-8
-        value = log_product_one_minus([1e-8] * 1000)
-        assert value == pytest.approx(-1.0000000050000000333e-05, rel=1e-12)
-
-    def test_matches_linear_product(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            terms = rng.uniform(0.0, 0.95, size=rng.integers(1, 40))
-            direct = float(np.prod(1.0 - terms))
-            if direct > 1e-300:
-                assert log_product_one_minus(terms) == pytest.approx(
-                    math.log(direct), rel=1e-12, abs=1e-12)
-
-    def test_no_underflow(self):
-        # product of magnitude e^-1e6 stays finite in log space
-        value = log_product_one_minus([0.9999] * 108_580)
-        assert -1.1e6 < value < -9e5
-        assert math.isfinite(value)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_product_one_minus([1.0])
-        with pytest.raises(ValueError):
-            log_product_one_minus([-0.1])
-
-
-class TestLogValue:
-    def test_round_trip_in_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            z = complex(rng.normal(), rng.normal()) * math.exp(rng.uniform(-200, 200))
-            lv = LogValue.from_linear(z)
-            back = lv.to_linear()
-            assert abs(back - z) <= 1e-12 * abs(z)
-
-    def test_extreme_magnitudes_representable(self):
-        low = LogValue(-750.0)
-        high = LogValue(750.0, phase=-1.0)
-        prod = low * high
-        assert prod.log_magnitude == 0.0
-        assert prod.to_linear() == pytest.approx(-1.0)
-
-    def test_zero(self):
-        lv = LogValue.from_linear(0.0)
-        assert lv.log_magnitude == -math.inf
-        assert lv.to_linear() == 0.0
-
-    def test_product_accumulation(self):
-        # prod of many e^-5000 factors: far below linear underflow
-        acc = LogValue(0.0)
-        factor = LogValue(-5000.0)
-        for _ in range(200):
-            acc = acc * factor
-        assert acc.log_magnitude == pytest.approx(-1e6)
