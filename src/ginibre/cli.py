@@ -40,23 +40,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _env_float(name: str, default: float) -> float:
+def _env(name: str, cast, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return float(raw)
-    except ValueError as exc:
-        print(f"ginibre: invalid {name}={raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
+        return cast(raw)
     except ValueError as exc:
         print(f"ginibre: invalid {name}={raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
@@ -149,9 +138,9 @@ def _run_sample(args) -> int:
     if problem:
         print(f"ginibre sample: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    epsilon = args.epsilon if args.epsilon is not None else _env_float("GINIBRE_EPSILON", 1e-12)
-    cap = args.max_proposals if args.max_proposals is not None else _env_int(
-        "GINIBRE_MAX_PROPOSALS", hkpv.DEFAULT_MAX_PROPOSALS)
+    epsilon = args.epsilon if args.epsilon is not None else _env("GINIBRE_EPSILON", float, 1e-12)
+    cap = args.max_proposals if args.max_proposals is not None else _env(
+        "GINIBRE_MAX_PROPOSALS", int, hkpv.DEFAULT_MAX_PROPOSALS)
 
     if args.method == "matrix":
         samples = pipelines.sample_matrix_batch(args.n, args.seed, args.count,
@@ -202,12 +191,11 @@ def _run_intensity(args) -> int:
     rmax = math.sqrt(args.n) + 3.0
     grid = np.linspace(0.0, rmax, args.points)
     lines = ["r,rho1N,lower_bound,upper_bound"]
-    for r in grid:
-        rho = radial_intensity(args.n, float(r))
+    for r, rho in zip(grid, radial_intensity(args.n, grid)):
         bounds = intensity_bounds(args.n, float(r))
         lo = _fmt(bounds.lower) if bounds.lower is not None else ""
         up = _fmt(bounds.upper) if bounds.upper is not None and math.isfinite(bounds.upper) else ""
-        lines.append(f"{_fmt(float(r))},{_fmt(rho)},{lo},{up}")
+        lines.append(f"{_fmt(float(r))},{_fmt(float(rho))},{lo},{up}")
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

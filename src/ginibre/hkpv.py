@@ -193,7 +193,7 @@ def sample_projection_dpp(basis: BasisSubset, rng: np.random.Generator,
         sup_norm_sq = sup_feature_norm_sq(basis)
     state = OrthoState(basis=basis)
     while state.remaining > 0:
-        envelope = sup_norm_sq / state.remaining
+        envelope = envelope_bound(state, sup_norm_sq)
         z = rejection_step(state, rng, envelope, diagnostics, max_proposals)
         state.add_point(z)
     return np.array(state.accepted, dtype=complex)

@@ -90,37 +90,23 @@ def spectrum_profile(radius: float, epsilon: float = 1e-12) -> SpectrumProfile:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     r2 = radius * radius
-    log_lam: list[float] = []
-    log_q: list[float] = []
-    trace = 0.0
-    n = 0
-    while True:
-        ll = log_regularized_lower_gamma(n + 1, r2) if r2 > 0.0 else -math.inf
-        lq = log_regularized_upper_gamma(n + 1, r2) if r2 > 0.0 else 0.0
-        lam = math.exp(ll)
-        if lam < epsilon and n > r2:
-            break
-        log_lam.append(ll)
-        log_q.append(lq)
-        trace += lam
-        n += 1
-    tail_log = 0.0
-    while True:
-        ll = log_regularized_lower_gamma(n + 1, r2) if r2 > 0.0 else -math.inf
-        if ll < _TAIL_CUTOFF_LOG:
-            break
-        lam = math.exp(ll)
-        tail_log += math.log1p(-lam)
-        trace += lam
-        n += 1
+    # Bennett's bound P(X >= r2 + d) <= exp(-d^2 / (2 (r2 + d/3))) for
+    # X ~ Poisson(r2) puts lambda_n below both stopping levels at the table end.
+    level = -math.log(min(epsilon, math.exp(_TAIL_CUTOFF_LOG)))
+    size = math.ceil(r2 + level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * r2)) + 2
+    n = np.arange(size)
+    log_lam = log_regularized_lower_gamma(n + 1, r2)
+    lam = np.exp(log_lam)
+    count = int(np.argmax((lam < epsilon) & (n > r2)))
+    end = count + int(np.argmax(log_lam[count:] < _TAIL_CUTOFF_LOG))
     return SpectrumProfile(
         radius=float(radius),
         epsilon=float(epsilon),
-        eigenvalues=np.exp(np.array(log_lam)),
-        log_eigenvalues=np.array(log_lam),
-        log_one_minus=np.array(log_q),
-        tail_log=tail_log,
-        trace=trace,
+        eigenvalues=lam[:count],
+        log_eigenvalues=log_lam[:count],
+        log_one_minus=log_regularized_upper_gamma(n[:count] + 1, r2),
+        tail_log=float(np.log1p(-lam[count:end]).sum()),
+        trace=float(lam[:end].sum()),
     )
 
 
@@ -147,9 +133,8 @@ class BasisSubset:
         if any(i < 0 for i in self.indices):
             raise ValueError("indices must be nonnegative")
         r2 = self.radius * self.radius
-        norm_logs = np.array(
-            [log_regularized_lower_gamma(i + 1, r2) + log_factorial(i) for i in self.indices]
-        )
+        idx = np.array(self.indices, dtype=np.int64)
+        norm_logs = log_regularized_lower_gamma(idx + 1, r2) + log_factorial(idx)
         object.__setattr__(self, "_norm_logs", norm_logs)
 
     @property
@@ -230,7 +215,7 @@ def truncated_kernel(n_rank: int, z1: complex, z2: complex) -> complex:
     """Rank-N truncation: sum_{n<N} phi_n(z1) conj(phi_n(z2))."""
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    log_coeffs = -np.array([log_factorial(n) for n in range(n_rank)])
+    log_coeffs = -log_factorial(np.arange(n_rank))
     return _kernel_sum(log_coeffs, complex(z1), complex(z2))
 
 
@@ -248,14 +233,16 @@ def conditioned_kernel(n_points: int, z1: complex, z2: complex) -> complex:
     return _kernel_sum(-basis.log_gamma_norms(), z1, z2)
 
 
-def radial_intensity(n_rank: int, r: float) -> float:
+def radial_intensity(n_rank: int, r):
     """One-point density of the rank-N truncated process at radius r.
 
-    Equals (1/pi) e^{-r^2} sum_{k<N} r^{2k}/k! = Q(N, r^2) / pi.
+    Equals (1/pi) e^{-r^2} sum_{k<N} r^{2k}/k! = Q(N, r^2) / pi. Accepts
+    a scalar or an array of radii.
     """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    if r < 0.0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0):
         raise ValueError("radius must be nonnegative")
     return regularized_upper_gamma(n_rank, r * r) / math.pi
 
@@ -319,8 +306,9 @@ def janossy_oracle(n_rank: int, radius: float, points) -> float:
         raise ValueError("all points must lie in the closed disk")
 
     r2 = radius * radius
-    log_p = np.array([log_regularized_lower_gamma(n + 1, r2) for n in range(n_rank)])
-    log_q = np.array([log_regularized_upper_gamma(n + 1, r2) for n in range(n_rank)])
+    shapes = np.arange(1, n_rank + 1)
+    log_p = log_regularized_lower_gamma(shapes, r2)
+    log_q = log_regularized_upper_gamma(shapes, r2)
     log_hole = float(log_q.sum())
     if k == 0:
         return math.exp(log_hole)
@@ -357,7 +345,7 @@ def log_joint_density(n_rank: int, points) -> float:
     pts = [complex(z) for z in points]
     if len(pts) != n_rank:
         raise ValueError("need exactly N points")
-    total = -n_rank * _LOG_PI - sum(log_factorial(p) for p in range(n_rank + 1))
+    total = -n_rank * _LOG_PI - float(log_factorial(np.arange(n_rank + 1)).sum())
     total -= sum(abs(z) ** 2 for z in pts)
     for p in range(n_rank):
         for q in range(p + 1, n_rank):

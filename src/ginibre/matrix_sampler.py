@@ -16,7 +16,6 @@ from .records import SampleSet
 __all__ = [
     "sample_ginibre_matrix",
     "sample_ginibre_matrix_batch",
-    "eigenvalues",
     "sample_truncated_ginibre",
     "sample_truncated_ginibre_batch",
 ]
@@ -42,11 +41,6 @@ def sample_ginibre_matrix_batch(n: int, count: int, rng: np.random.Generator,
     """(count, n, n) stack of independent Ginibre matrices from one stream."""
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     return (_ROOT_HALF * entry_scale) * z
-
-
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a general complex matrix (unordered)."""
-    return eigen.eigenvalues(matrix)
 
 
 def sample_truncated_ginibre(n: int, rng: np.random.Generator, seed: int = -1,

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from . import hkpv, matrix_sampler, point_count
+from . import eigen, hkpv, matrix_sampler, point_count
 from .kernels import BasisSubset, SpectrumProfile, spectrum_profile
 from .records import RejectionDiagnostics, SampleSet
 from .specfun import log_regularized_lower_gamma
@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 REJECTION_RETRY_CAP = 1_000_000
+
+# Entries of GinibreDiskSampler's sup-envelope cache, one per distinct
+# index set; the oldest entry is evicted first.
+SUP_CACHE_SIZE = 4096
 
 
 class GinibreDiskSampler:
@@ -68,6 +72,8 @@ class GinibreDiskSampler:
             sup = self._sup_cache.get(draw.selected)
             if sup is None:
                 sup = hkpv.sup_feature_norm_sq(basis)
+                if len(self._sup_cache) >= SUP_CACHE_SIZE:
+                    del self._sup_cache[next(iter(self._sup_cache))]
                 self._sup_cache[draw.selected] = sup
             points = hkpv.sample_projection_dpp(
                 basis, rng, diagnostics=diagnostics,
@@ -157,7 +163,7 @@ def _matrix_batch_serial(n_points: int, seed: int, count: int, offset: int,
                 n_points, stream_rng(seed, offset + start + i), entry_scale)
             for i in range(size)
         ])
-        eig = matrix_sampler.eigen.eigenvalues_batch(mats)
+        eig = eigen.eigenvalues_batch(mats)
         for i in range(size):
             out.append(SampleSet(
                 points=eig[i], method="matrix", params={"N": n_points},
@@ -209,8 +215,7 @@ def acceptance_probability_all_in_disk(n_points: int) -> float:
     """P(all N matrix-route points fall in B_sqrt(N)): prod_n P(n+1, N)."""
     if n_points < 1:
         raise ValueError("point count must be >= 1")
-    total = sum(log_regularized_lower_gamma(n + 1, float(n_points))
-                for n in range(n_points))
+    total = log_regularized_lower_gamma(np.arange(1, n_points + 1), float(n_points)).sum()
     return math.exp(total)
 
 
@@ -228,7 +233,7 @@ def conditioned_by_rejection(n_points: int, rng: np.random.Generator,
     root_n = math.sqrt(n_points)
     for attempt in range(1, retry_cap + 1):
         mat = matrix_sampler.sample_ginibre_matrix(n_points, rng)
-        pts = matrix_sampler.eigenvalues(mat)
+        pts = eigen.eigenvalues(mat)
         if np.all(np.abs(pts) <= root_n):
             return SampleSet(
                 points=pts, method="conditioned",

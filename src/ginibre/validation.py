@@ -124,23 +124,17 @@ def delta_n(n_rank: int) -> float:
     """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    return sum(regularized_upper_gamma(n + 1, float(n_rank)) for n in range(n_rank))
+    return float(regularized_upper_gamma(np.arange(1, n_rank + 1), float(n_rank)).sum())
 
 
 def kostlan_max_cdf(n_rank: int):
     """Exact CDF of max_i |X_i|^2: prod_{i=1..N} P(i, x)."""
+    shapes = np.arange(1, n_rank + 1)
 
     def cdf(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
-        for j, val in enumerate(xs):
-            if val <= 0:
-                out[j] = 0.0
-            else:
-                out[j] = math.exp(sum(
-                    log_regularized_lower_gamma(i, val) for i in range(1, n_rank + 1)
-                ))
-        return out if np.ndim(x) else float(out[0])
+        xs = np.maximum(np.asarray(x, dtype=float), 0.0)[..., None]
+        out = np.exp(log_regularized_lower_gamma(shapes, xs).sum(axis=-1))
+        return out if np.ndim(x) else float(out)
 
     return cdf
 
@@ -221,7 +215,8 @@ def intensity_check(samples: list[SampleSet], report: ValidationReport,
         edges = np.linspace(0.0, math.sqrt(n), bins + 1)
         radii = np.concatenate([s.radii() for s in samples]) / scale
         total = len(samples) * n
-        dens = lambda r: kernels.conditioned_kernel(n, r, r).real * 2 * math.pi * r / n
+        dens = lambda r: np.array(
+            [kernels.conditioned_kernel(n, ri, ri).real for ri in r]) * 2 * math.pi * r / n
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -250,7 +245,7 @@ def _quad_fraction(dens, lo: float, hi: float, nodes: int = 64) -> float:
     x, w = np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return float(sum(wk * dens(mid + half * xk) for xk, wk in zip(x, w)) * half)
+    return float(w @ dens(mid + half * x) * half)
 
 
 def hole_and_count_check(samples: list[SampleSet], radius: float,
@@ -303,7 +298,7 @@ def outside_disk_check(samples: list[SampleSet], report: ValidationReport,
     m = len(samples)
     root_n = math.sqrt(n)
     outside = np.array([float(np.sum(s.radii() > root_n)) for s in samples])
-    q = np.array([regularized_upper_gamma(i, float(n)) for i in range(1, n + 1)])
+    q = regularized_upper_gamma(np.arange(1, n + 1), float(n))
     sigma = math.sqrt(float((q * (1 - q)).sum()) / m)
     report.add(_z_check(f"outside_mean_delta{label}", delta_n(n),
                         float(outside.mean()), sigma, m))

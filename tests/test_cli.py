@@ -93,15 +93,18 @@ class TestSampleCommand:
                        "--max-proposals", "1", "-o", str(tmp_path / "x.csv")])
         assert rc == 3
 
-    def test_env_epsilon_flag_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GINIBRE_EPSILON", "not-a-number")
+    @pytest.mark.parametrize("name, value, flag", [
+        ("GINIBRE_EPSILON", "not-a-number", ["--epsilon", "1e-10"]),
+        ("GINIBRE_MAX_PROPOSALS", "abc", ["--max-proposals", "1000"]),
+    ], ids=["epsilon", "max_proposals"])
+    def test_env_epsilon_flag_precedence(self, tmp_path, monkeypatch, name, value, flag):
+        monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit):
             cli.main(["sample", "--method", "projected", "--radius", "1",
                       "--seed", "1", "-o", str(tmp_path / "x.csv")])
         # explicit flag wins and the env var is never parsed
         rc = cli.main(["sample", "--method", "projected", "--radius", "1",
-                       "--seed", "1", "--epsilon", "1e-10",
-                       "-o", str(tmp_path / "y.csv")])
+                       "--seed", "1", *flag, "-o", str(tmp_path / "y.csv")])
         assert rc == 0
 
 

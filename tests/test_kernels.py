@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ginibre import kernels
-from ginibre.specfun import log_factorial
+from ginibre.specfun import log_factorial, log_regularized_lower_gamma
 
 RNG = np.random.default_rng(2024)
 
@@ -165,6 +165,12 @@ class TestRadialIntensity:
             w * 2 * math.pi * r * np.array([kernels.radial_intensity(n_rank, rr) for rr in r])))
         assert total == pytest.approx(n_rank, abs=1e-8 * n_rank)
 
+    def test_array_matches_scalar_calls(self):
+        r = np.linspace(0.0, 320.0, 512)
+        got = kernels.radial_intensity(100_000, r)
+        scalar = np.array([kernels.radial_intensity(100_000, float(x)) for x in r])
+        np.testing.assert_allclose(got, scalar, rtol=1e-10, atol=0.0)
+
     def test_bounded_by_inv_pi(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -232,6 +238,33 @@ class TestSpectrumProfile:
         # frozen from the scipy gammainc product (independent implementation)
         assert math.exp(prof.log_hole_probability()) == pytest.approx(
             0.7564184437373282, rel=1e-10)
+
+    def test_hole_probability_beyond_underflow(self):
+        # prod (1 - lambda_n) underflows doubles past R ~ 26.6; its log does not
+        prof = kernels.spectrum_profile(30.0)
+        assert prof.trace == pytest.approx(900.0, abs=1e-8)
+        with mpmath.workdps(30):
+            ref = mpmath.fsum(
+                mpmath.log(mpmath.gammainc(n + 1, 900, mpmath.inf, regularized=True))
+                for n in range(1300))
+        assert math.isfinite(prof.log_hole_probability())
+        assert prof.log_hole_probability() == pytest.approx(float(ref), rel=1e-10)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 3.0, 10.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-12, 1e-60])
+    def test_matches_per_index_rule(self, radius, epsilon):
+        # prefix: n up to the first lambda_n < epsilon with n > R^2; the tail
+        # runs on to the first lambda_n < 1e-40
+        r2 = radius * radius
+        lam = [math.exp(log_regularized_lower_gamma(n + 1, r2)) for n in range(400)]
+        count = next(n for n in range(400) if lam[n] < epsilon and n > r2)
+        end = next(n for n in range(count, 400) if lam[n] < 1e-40)
+        prof = kernels.spectrum_profile(radius, epsilon)
+        assert prof.count == count
+        np.testing.assert_allclose(prof.eigenvalues, lam[:count], rtol=1e-12)
+        assert prof.tail_log == pytest.approx(
+            math.fsum(math.log1p(-v) for v in lam[count:end]), rel=1e-12, abs=1e-300)
+        assert prof.trace == pytest.approx(math.fsum(lam[:end]), rel=1e-14)
 
     def test_degenerate_zero_radius(self):
         prof = kernels.spectrum_profile(0.0)

@@ -46,6 +46,17 @@ class TestDiskRoute:
         with pytest.raises(RejectionCapError):
             sampler.sample_batch(7, 64, workers=2)
 
+    def test_sup_cache_is_bounded(self, monkeypatch):
+        reference = pipelines.GinibreDiskSampler(3.0)
+        uncapped = reference.sample_batch(5, 50)
+        assert len(reference._sup_cache) > 4
+        monkeypatch.setattr(pipelines, "SUP_CACHE_SIZE", 4)
+        sampler = pipelines.GinibreDiskSampler(3.0)
+        capped = sampler.sample_batch(5, 50)
+        assert len(sampler._sup_cache) <= 4
+        for a, b in zip(uncapped, capped):
+            assert np.array_equal(a.points, b.points)
+
 
 class TestConditionedRoute:
     def test_exact_count_inside_target(self):

@@ -33,7 +33,7 @@ class TestRegularizedGamma:
         assert regularized_lower_gamma(2.0, 2.0) == pytest.approx(
             1.0 - 3.0 * math.exp(-2.0), rel=1e-13)
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("a", [1.0, 5.0, 20.0, 50.0])
     @pytest.mark.parametrize("xfac", [0.5, 1.0, 2.0])
     def test_quadrature_oracle(self, a, xfac):
         x = a * xfac
@@ -46,7 +46,7 @@ class TestRegularizedGamma:
     def test_complementarity(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            a = math.exp(rng.uniform(math.log(1e-2), math.log(1e3)))
+            a = math.ceil(math.exp(rng.uniform(0.0, math.log(1e3))))
             x = math.exp(rng.uniform(math.log(1e-3), math.log(2e3)))
             p = regularized_lower_gamma(a, x)
             q = regularized_upper_gamma(a, x)
@@ -55,7 +55,7 @@ class TestRegularizedGamma:
     def test_monotone_in_x(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            a = math.exp(rng.uniform(-2, 6))
+            a = math.ceil(math.exp(rng.uniform(0.0, 6.0)))
             x1 = math.exp(rng.uniform(-4, 6))
             x2 = x1 * (1.0 + rng.uniform(0.0, 3.0))
             assert regularized_lower_gamma(a, x1) <= regularized_lower_gamma(a, x2) + 1e-15
@@ -88,6 +88,38 @@ class TestRegularizedGamma:
             regularized_lower_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             regularized_upper_gamma(1.0, -0.5)
+
+    @pytest.mark.parametrize("a", [0.5, 2.5, np.array([1.0, 1.5])])
+    def test_non_integer_shape_rejected(self, a):
+        with pytest.raises(ValueError):
+            log_regularized_lower_gamma(a, 1.0)
+        with pytest.raises(ValueError):
+            log_regularized_upper_gamma(a, 1.0)
+
+    def test_array_matches_scalar_calls(self):
+        a = np.arange(1, 61)[:, None]
+        x = np.array([0.0, 0.3, 4.0, 17.5, 40.0, 90.0])[None, :]
+        for fn in (log_regularized_lower_gamma, log_regularized_upper_gamma,
+                   regularized_lower_gamma, regularized_upper_gamma):
+            got = fn(a, x)
+            assert got.shape == (60, 6)
+            scalar = [[fn(int(ai), float(xi)) for xi in x[0]] for ai in a[:, 0]]
+            assert isinstance(scalar[0][0], float)
+            np.testing.assert_array_equal(got, np.array(scalar))
+
+    @pytest.mark.parametrize("x", [0.5, 25.0, 100.0, 900.0])
+    def test_integer_range_vs_mpmath(self, x):
+        shapes = np.arange(1, 1202)  # a = n + 1 for n = 0..1200
+        lp = log_regularized_lower_gamma(shapes, x)
+        lq = log_regularized_upper_gamma(shapes, x)
+        for a in list(range(1, 1202, 40)) + [1201]:
+            with mpmath.workdps(30):
+                p = mpmath.gammainc(a, 0, x, regularized=True)
+                q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                ref_p = mpmath.log(p) if p < 0.5 else mpmath.log1p(-q)
+                ref_q = mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)
+            assert lp[a - 1] == pytest.approx(float(ref_p), rel=1e-10)
+            assert lq[a - 1] == pytest.approx(float(ref_q), rel=1e-10)
 
 
 class TestLogFactorial:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -26,6 +27,25 @@ class TestDeltaN:
     def test_asymptotic_bracket(self):
         ratio = validation.delta_n(900) / math.sqrt(900 / (2 * math.pi))
         assert 0.9 <= ratio <= 1.1
+
+
+class TestKostlanMaxCdf:
+    def test_matches_mpmath_product(self):
+        # P(max |X_i|^2 <= x) = prod_{i=1..N} P(i, x) at N = 50
+        cdf = validation.kostlan_max_cdf(50)
+        xs = np.array([30.0, 55.0, 80.0])
+        got = cdf(xs)
+        with mpmath.workdps(30):
+            ref = [mpmath.fprod(mpmath.gammainc(i, 0, x, regularized=True)
+                                for i in range(1, 51)) for x in xs]
+        for g, r, x in zip(got, ref, xs):
+            assert g == pytest.approx(float(r), rel=1e-10)
+            assert cdf(float(x)) == g
+
+    def test_nonpositive_arguments_are_zero(self):
+        cdf = validation.kostlan_max_cdf(5)
+        assert cdf(0.0) == 0.0
+        np.testing.assert_array_equal(cdf(np.array([-1.0, 0.0])), [0.0, 0.0])
 
 
 class TestChecksOnSynthetic:
