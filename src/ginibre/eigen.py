@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EigensolverError", "eigenvalues", "eigenvalues_batch", "eigenvector"]
+__all__ = ["EigensolverError", "eigenvalues", "eigenvalues_batch"]
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -269,20 +269,3 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of one square complex matrix (unordered)."""
     return eigenvalues_batch(np.asarray(matrix)[None, :, :])[0]
 
-
-def eigenvector(matrix: np.ndarray, eigenvalue: complex, sweeps: int = 3) -> np.ndarray:
-    """Unit eigenvector by inverse iteration; test-mode backward-error aid."""
-    a = np.asarray(matrix, dtype=complex)
-    n = a.shape[0]
-    scale = np.linalg.norm(a) or 1.0
-    shifted = a - (eigenvalue + 1e-14 * scale) * np.eye(n)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(sweeps):
-        try:
-            v = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:
-            break
-        v /= np.linalg.norm(v)
-    return v

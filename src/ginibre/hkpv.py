@@ -32,9 +32,9 @@ __all__ = [
 
 DEFAULT_MAX_PROPOSALS = 1_000_000
 
-# p_i values in [-CLAMP_FLOOR, 0) are rounding; below -HARD_FLOOR means the
-# orthonormal set has degraded and the run must not continue silently.
-_CLAMP_FLOOR = 1e-12
+# p_i values in [-HARD_FLOOR, 0) are rounding and are clamped to 0; below
+# -HARD_FLOOR the orthonormal set has degraded and OrthogonalityError stops
+# the run.
 _HARD_FLOOR = 1e-9
 
 
@@ -91,7 +91,7 @@ def sup_feature_norm_sq(basis: BasisSubset, grid: int = 256) -> float:
     ||v||^2 is radial for these bases; a dense radial grid brackets the
     maximum and golden-section search refines it.
     """
-    radii = np.linspace(0.0, basis.disk_radius, grid)
+    radii = np.linspace(0.0, basis.radius, grid)
     vals = _feature_norm_sq_radial(basis, radii)
     k = int(np.argmax(vals))
     lo = radii[max(k - 1, 0)]
@@ -111,7 +111,7 @@ def sup_feature_norm_sq(basis: BasisSubset, grid: int = 256) -> float:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = _feature_norm_sq_radial(basis, np.array([d]))[0]
-        if b - a < 1e-12 * basis.disk_radius:
+        if b - a < 1e-12 * basis.radius:
             break
     best = max(float(vals[k]), fc, fd)
     return best
@@ -166,7 +166,7 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
                    diagnostics: RejectionDiagnostics | None = None,
                    max_proposals: int = DEFAULT_MAX_PROPOSALS) -> complex:
     """Exact draw from p_i by rejection from the uniform law on the disk."""
-    radius = state.basis.disk_radius
+    radius = state.basis.radius
     for attempt in range(1, max_proposals + 1):
         z = _uniform_disk(rng, radius)
         u = rng.random() * envelope

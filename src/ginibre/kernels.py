@@ -5,6 +5,14 @@ projection onto a centered disk (with incomplete-gamma eigenvalues), the
 truncated-projected combination, and the rank-N kernel conditioned to N
 points on the disk of radius sqrt(N).
 
+SpectrumProfile is the one source of kernel coefficients: the disk
+eigenvalues lambda_n = P(n+1, R^2), 1 - lambda_n, and the basis norms
+ln gamma(n+1, R^2) = ln lambda_n + ln n!. spectrum_profile(R) tables the
+full-rank spectrum on B_R (the projected route); spectrum_profile(R,
+rank=N) that of the rank-N kernel (the Janossy oracle, and at R =
+sqrt(N) the conditioned route and the closed forms). A BasisSubset is an
+index set of a profile.
+
 All eigenfunction arithmetic is done as (log magnitude, phase): the raw
 monomials z^n / sqrt(n!) overflow doubles near n ~ 150, while their
 normalized combinations are tame. Linear values only materialize as the
@@ -58,7 +66,8 @@ class SpectrumProfile:
 
     Stores the first `count` eigenvalues in both linear and log form along
     with log(1 - lambda_n); `tail_log` is sum_{n >= count} log(1 - lambda_n)
-    so products over the full spectrum never truncate silently.
+    so products over the full spectrum never truncate silently (0 for a
+    rank-N profile, whose spectrum ends at count = N).
     """
 
     radius: float
@@ -78,27 +87,36 @@ class SpectrumProfile:
         return float(self.log_one_minus.sum() + self.tail_log)
 
 
-def spectrum_profile(radius: float, epsilon: float = 1e-12) -> SpectrumProfile:
+def spectrum_profile(radius: float, epsilon: float = 1e-12,
+                     rank: int | None = None) -> SpectrumProfile:
     """Build the eigenvalue profile of the Ginibre kernel projected on B_R.
 
-    The stored prefix ends at the first n with lambda_n < epsilon and
-    n > R^2 (the spectrum decays super-exponentially past n ~ R^2); the
-    remaining mass goes into tail_log / trace accumulators.
+    Without a rank, the stored prefix ends at the first n with
+    lambda_n < epsilon and n > R^2 (the spectrum decays super-exponentially
+    past n ~ R^2); the remaining mass goes into tail_log / trace
+    accumulators. With rank=N the profile is that of the rank-N kernel
+    projected on B_R: exactly the indices n < N, and no tail.
     """
     if radius < 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     r2 = radius * radius
     # Bennett's bound P(X >= r2 + d) <= exp(-d^2 / (2 (r2 + d/3))) for
     # X ~ Poisson(r2) puts lambda_n below both stopping levels at the table end.
     level = -math.log(min(epsilon, math.exp(_TAIL_CUTOFF_LOG)))
-    size = math.ceil(r2 + level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * r2)) + 2
+    size = rank if rank is not None else math.ceil(
+        r2 + level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * r2)) + 2
     n = np.arange(size)
     log_lam = log_regularized_lower_gamma(n + 1, r2)
     lam = np.exp(log_lam)
-    count = int(np.argmax((lam < epsilon) & (n > r2)))
-    end = count + int(np.argmax(log_lam[count:] < _TAIL_CUTOFF_LOG))
+    if rank is None:
+        count = int(np.argmax((lam < epsilon) & (n > r2)))
+        end = count + int(np.argmax(log_lam[count:] < _TAIL_CUTOFF_LOG))
+    else:
+        count = end = rank
     return SpectrumProfile(
         radius=float(radius),
         epsilon=float(epsilon),
@@ -115,36 +133,31 @@ class BasisSubset:
     """An ordered set of disk-orthonormal eigenfunctions.
 
     Index n maps to the L2-normalized function z^n e^{-|z|^2/2} /
-    sqrt(pi gamma(n+1, R^2)) on the disk of radius `radius`; `scale`
-    applies a homothety (functions live on the disk of radius
-    scale * radius and stay orthonormal).
+    sqrt(pi gamma(n+1, R^2)) on the disk of the profile's radius R. The
+    norms ln gamma(n+1, R^2) = ln lambda_n + ln n! are read from the
+    profile, so every index must lie in its table.
     """
 
-    radius: float
+    profile: SpectrumProfile
     indices: tuple[int, ...]
-    scale: float = 1.0
     _norm_logs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
+        if self.profile.radius <= 0.0:
             raise ValueError("radius must be positive")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if any(i < 0 for i in self.indices):
-            raise ValueError("indices must be nonnegative")
-        r2 = self.radius * self.radius
         idx = np.array(self.indices, dtype=np.int64)
-        norm_logs = log_regularized_lower_gamma(idx + 1, r2) + log_factorial(idx)
+        if np.any((idx < 0) | (idx >= self.profile.count)):
+            raise ValueError(f"indices must lie in 0..{self.profile.count - 1}")
+        norm_logs = self.profile.log_eigenvalues[idx] + log_factorial(idx)
         object.__setattr__(self, "_norm_logs", norm_logs)
+
+    @property
+    def radius(self) -> float:
+        return self.profile.radius
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def disk_radius(self) -> float:
-        """Radius of the disk the (scaled) functions live on."""
-        return self.radius * self.scale
 
     def log_gamma_norms(self) -> np.ndarray:
         """log gamma(i+1, R^2) for each member index i."""
@@ -160,7 +173,7 @@ def feature_vector(basis: BasisSubset, z) -> np.ndarray:
     """
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs) / basis.scale
+    zs = np.atleast_1d(zs)
     absz = np.abs(zs)
     inside = absz <= basis.radius * (1.0 + 1e-12)
     idx = np.array(basis.indices)[:, None]
@@ -173,7 +186,7 @@ def feature_vector(basis: BasisSubset, z) -> np.ndarray:
     logmag = logmag - 0.5 * (_LOG_PI + basis.log_gamma_norms())[:, None]
     angles = idx * np.angle(zs)[None, :]
     out = np.exp(logmag) * np.exp(1j * angles)
-    out = np.where(inside[None, :], out, 0.0) / basis.scale
+    out = np.where(inside[None, :], out, 0.0)
     return out[:, 0] if scalar else out
 
 
@@ -229,7 +242,7 @@ def conditioned_kernel(n_points: int, z1: complex, z2: complex) -> complex:
     radius = math.sqrt(n_points)
     if abs(z1) > radius * (1 + 1e-12) or abs(z2) > radius * (1 + 1e-12):
         return 0.0j
-    basis = BasisSubset(radius, tuple(range(n_points)))
+    basis = BasisSubset(spectrum_profile(radius, rank=n_points), tuple(range(n_points)))
     return _kernel_sum(-basis.log_gamma_norms(), z1, z2)
 
 
@@ -305,15 +318,13 @@ def janossy_oracle(n_rank: int, radius: float, points) -> float:
     if any(abs(z) > radius * (1 + 1e-12) for z in pts):
         raise ValueError("all points must lie in the closed disk")
 
-    r2 = radius * radius
-    shapes = np.arange(1, n_rank + 1)
-    log_p = log_regularized_lower_gamma(shapes, r2)
-    log_q = log_regularized_upper_gamma(shapes, r2)
-    log_hole = float(log_q.sum())
+    prof = spectrum_profile(radius, rank=n_rank)
+    log_p, log_q = prof.log_eigenvalues, prof.log_one_minus
+    log_hole = prof.log_hole_probability()
     if k == 0:
         return math.exp(log_hole)
 
-    phi = feature_vector(BasisSubset(radius, tuple(range(n_rank))), pts).T  # (k, N)
+    phi = feature_vector(BasisSubset(prof, tuple(range(n_rank))), pts).T  # (k, N)
 
     # route (i): Det(I - K) * det(J(z_i, z_j)) with J = sum (lam/(1-lam)) phi phi*
     jmat = (phi * np.exp(log_p - log_q)) @ phi.conj().T
@@ -367,7 +378,8 @@ def conditioned_kernel_max_deviation(n_rank: int, radius: float = 1.0,
     """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    basis = BasisSubset(math.sqrt(n_rank), tuple(range(n_rank)))
+    basis = BasisSubset(spectrum_profile(math.sqrt(n_rank), rank=n_rank),
+                        tuple(range(n_rank)))
     inv_gamma = np.exp(-basis.log_gamma_norms())
     rr = np.linspace(0.0, radius * radius, grid)
     th = np.linspace(0.0, math.pi, grid)

@@ -27,7 +27,6 @@ import numpy as np
 from . import eigen, hkpv, matrix_sampler, point_count
 from .kernels import BasisSubset, SpectrumProfile, spectrum_profile
 from .records import RejectionDiagnostics, SampleSet
-from .specfun import log_regularized_lower_gamma
 from .streams import child_seed, stream_rng
 
 __all__ = [
@@ -68,7 +67,7 @@ class GinibreDiskSampler:
             points = np.empty(0, dtype=complex)
         else:
             draw = point_count.sample_indicators(self.profile, top, rng)
-            basis = BasisSubset(radius=self.radius, indices=draw.selected)
+            basis = BasisSubset(self.profile, draw.selected)
             sup = self._sup_cache.get(draw.selected)
             if sup is None:
                 sup = hkpv.sup_feature_norm_sq(basis)
@@ -104,7 +103,8 @@ class ConditionedSampler:
         if self.target_radius <= 0.0:
             raise ValueError("target radius must be positive")
         self.max_proposals = max_proposals
-        self.basis = BasisSubset(radius=root_n, indices=tuple(range(self.n_points)))
+        self.basis = BasisSubset(spectrum_profile(root_n, rank=self.n_points),
+                                 tuple(range(self.n_points)))
         self.sup_norm_sq = hkpv.sup_feature_norm_sq(self.basis)
         self.scale_out = self.target_radius / root_n
 
@@ -215,8 +215,8 @@ def acceptance_probability_all_in_disk(n_points: int) -> float:
     """P(all N matrix-route points fall in B_sqrt(N)): prod_n P(n+1, N)."""
     if n_points < 1:
         raise ValueError("point count must be >= 1")
-    total = log_regularized_lower_gamma(np.arange(1, n_points + 1), float(n_points)).sum()
-    return math.exp(total)
+    prof = spectrum_profile(math.sqrt(n_points), rank=n_points)
+    return math.exp(prof.log_eigenvalues.sum())
 
 
 def conditioned_by_rejection(n_points: int, rng: np.random.Generator,

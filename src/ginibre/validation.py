@@ -21,7 +21,7 @@ from scipy import stats as scipy_stats
 
 from . import kernels, pipelines
 from .records import SampleSet
-from .specfun import log_regularized_lower_gamma, regularized_upper_gamma
+from .specfun import log_regularized_lower_gamma
 
 __all__ = [
     "CheckResult",
@@ -124,7 +124,8 @@ def delta_n(n_rank: int) -> float:
     """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    return float(regularized_upper_gamma(np.arange(1, n_rank + 1), float(n_rank)).sum())
+    prof = kernels.spectrum_profile(math.sqrt(n_rank), rank=n_rank)
+    return float(np.exp(prof.log_one_minus).sum())
 
 
 def kostlan_max_cdf(n_rank: int):
@@ -298,7 +299,7 @@ def outside_disk_check(samples: list[SampleSet], report: ValidationReport,
     m = len(samples)
     root_n = math.sqrt(n)
     outside = np.array([float(np.sum(s.radii() > root_n)) for s in samples])
-    q = regularized_upper_gamma(np.arange(1, n + 1), float(n))
+    q = np.exp(kernels.spectrum_profile(root_n, rank=n).log_one_minus)
     sigma = math.sqrt(float((q * (1 - q)).sum()) / m)
     report.add(_z_check(f"outside_mean_delta{label}", delta_n(n),
                         float(outside.mean()), sigma, m))

@@ -178,7 +178,7 @@ def test_criterion_10_hkpv_conditional_densities():
     worst_mass = 0.0
     worst_at_points = 0.0
     for n in (2, 5, 8):
-        basis = BasisSubset(radius=math.sqrt(n), indices=tuple(range(n)))
+        basis = BasisSubset(spectrum_profile(math.sqrt(n), rank=n), tuple(range(n)))
         z, w = polar_quadrature(math.sqrt(n), n_r=96, n_theta=4 * n + 8)
         state = hkpv.OrthoState(basis=basis)
         rng = stream_rng(SEED + n, 0)

@@ -5,12 +5,12 @@ import pytest
 from scipy import stats as scipy_stats
 
 from ginibre import hkpv, kernels
-from ginibre.kernels import BasisSubset
+from ginibre.kernels import BasisSubset, spectrum_profile
 from ginibre.records import RejectionDiagnostics
 
 
 def conditioned_basis(n):
-    return BasisSubset(radius=math.sqrt(n), indices=tuple(range(n)))
+    return BasisSubset(spectrum_profile(math.sqrt(n), rank=n), tuple(range(n)))
 
 
 class TestFeatureVector:
@@ -29,7 +29,7 @@ class TestFeatureVector:
             assert float(np.sum(np.abs(v) ** 2)) == pytest.approx(diag, rel=1e-10)
 
     def test_total_norm_integrates_to_size(self, disk_quad):
-        basis = BasisSubset(radius=1.5, indices=(0, 1, 3, 4, 7))
+        basis = BasisSubset(spectrum_profile(1.5, rank=8), (0, 1, 3, 4, 7))
         z, w = disk_quad(1.5)
         v = hkpv.feature_vector(basis, z)
         total = float(np.sum(w * np.sum(np.abs(v) ** 2, axis=0)))
@@ -115,7 +115,7 @@ class TestEnvelope:
         basis = conditioned_basis(2)
         state = hkpv.OrthoState(basis=basis)
         sup = hkpv.sup_feature_norm_sq(basis)
-        grid = np.linspace(0, basis.disk_radius, 20001).astype(complex)
+        grid = np.linspace(0, basis.radius, 20001).astype(complex)
         v = hkpv.feature_vector(basis, grid)
         dense = float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
         assert sup == pytest.approx(dense, rel=1e-6)
@@ -129,7 +129,7 @@ class TestEnvelope:
         sup = hkpv.sup_feature_norm_sq(basis)
         probes = np.array([
             complex(r * math.cos(t), r * math.sin(t))
-            for r, t in zip(basis.disk_radius * np.sqrt(rng.random(500)),
+            for r, t in zip(basis.radius * np.sqrt(rng.random(500)),
                             rng.uniform(-math.pi, math.pi, 500))
         ])
         while state.remaining > 0:
@@ -143,7 +143,7 @@ class TestEnvelope:
 class TestRejectionStep:
     def test_rank_one_radius_histogram(self):
         # |phi_0|^2 radial law on B_1: P(|X| <= r) = gamma(1, r^2)/gamma(1, 1)
-        basis = BasisSubset(radius=1.0, indices=(0,))
+        basis = BasisSubset(spectrum_profile(1.0, rank=1), (0,))
         state = hkpv.OrthoState(basis=basis)
         rng = np.random.default_rng(8)
         sup = hkpv.sup_feature_norm_sq(basis)
@@ -171,7 +171,7 @@ class TestRejectionStep:
         m = 20_000
         for _ in range(m):
             hkpv.rejection_step(state, rng, envelope, diagnostics=diag)
-        area = math.pi * basis.disk_radius ** 2
+        area = math.pi * basis.radius ** 2
         p = 1.0 / (envelope * area)
         rate = diag.acceptances / diag.proposals
         sigma = math.sqrt(p * (1 - p) / diag.proposals)
@@ -207,7 +207,7 @@ class TestSampleProjectionDpp:
         assert np.all(np.abs(pts) <= math.sqrt(n) + 1e-9)
 
     def test_rank_one_radius_ks(self):
-        basis = BasisSubset(radius=1.0, indices=(0,))
+        basis = BasisSubset(spectrum_profile(1.0, rank=1), (0,))
         rng = np.random.default_rng(12)
         m = 20_000
         sup = hkpv.sup_feature_norm_sq(basis)

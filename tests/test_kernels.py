@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from ginibre import kernels
-from ginibre.specfun import log_factorial, log_regularized_lower_gamma
+from ginibre.specfun import (
+    log_factorial,
+    log_regularized_lower_gamma,
+    log_regularized_upper_gamma,
+)
 
 RNG = np.random.default_rng(2024)
+
+
+def disk_basis(radius, indices):
+    return kernels.BasisSubset(kernels.spectrum_profile(radius, rank=max(indices) + 1), indices)
 
 
 def random_disk_points(rng, count, radius):
@@ -87,25 +95,25 @@ class TestTruncatedKernel:
 class TestProjectedEigenfunction:
     def test_origin_closed_form(self):
         expected = 1.0 / math.sqrt(math.pi * (1.0 - 1.0 / math.e))
-        basis = kernels.BasisSubset(1.0, (0,))
+        basis = disk_basis(1.0, (0,))
         assert kernels.feature_vector(basis, 0)[0] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0])
     def test_unit_norm(self, radius, disk_quad):
         z, w = disk_quad(radius)
-        vals = kernels.feature_vector(kernels.BasisSubset(radius, (0, 1, 4, 10)), z)
+        vals = kernels.feature_vector(disk_basis(radius, (0, 1, 4, 10)), z)
         norms = np.sum(w * np.abs(vals) ** 2, axis=1)
         assert norms == pytest.approx(np.ones(4), abs=1e-6)
 
     def test_orthogonality(self, disk_quad):
         z, w = disk_quad(2.0)
-        f3, f5 = kernels.feature_vector(kernels.BasisSubset(2.0, (3, 5)), z)
+        f3, f5 = kernels.feature_vector(disk_basis(2.0, (3, 5)), z)
         inner = np.sum(w * f3 * f5.conj())
         assert abs(inner) < 1e-6
 
     def test_large_index_log_magnitude(self):
         # gamma(201, 400) ~ 200! ~ 1e375 overflows doubles; the normalized value does not
-        value = kernels.feature_vector(kernels.BasisSubset(20.0, (200,)), 14.0 + 0j)[0]
+        value = kernels.feature_vector(disk_basis(20.0, (200,)), 14.0 + 0j)[0]
         ref = (200 * mpmath.log(14) - 0.5 * 14 ** 2
                - 0.5 * (mpmath.log(mpmath.pi)
                         + mpmath.log(mpmath.gammainc(201, 0, 400))))
@@ -266,6 +274,20 @@ class TestSpectrumProfile:
             math.fsum(math.log1p(-v) for v in lam[count:end]), rel=1e-12, abs=1e-300)
         assert prof.trace == pytest.approx(math.fsum(lam[:end]), rel=1e-14)
 
+    @pytest.mark.parametrize("radius", [0.5, 2.0, math.sqrt(50)])
+    @pytest.mark.parametrize("rank", [1, 12, 50])
+    def test_rank_table(self, radius, rank):
+        # the rank-N kernel on B_R: exactly n < N, no tail
+        prof = kernels.spectrum_profile(radius, rank=rank)
+        shapes = np.arange(1, rank + 1)
+        assert prof.count == rank
+        assert prof.tail_log == 0.0
+        assert np.array_equal(prof.log_eigenvalues,
+                              log_regularized_lower_gamma(shapes, radius * radius))
+        assert np.array_equal(prof.log_one_minus,
+                              log_regularized_upper_gamma(shapes, radius * radius))
+        assert prof.trace == float(prof.eigenvalues.sum())
+
     def test_degenerate_zero_radius(self):
         prof = kernels.spectrum_profile(0.0)
         assert math.exp(prof.log_hole_probability()) == 1.0
@@ -275,22 +297,25 @@ class TestSpectrumProfile:
             kernels.spectrum_profile(-1.0)
         with pytest.raises(ValueError):
             kernels.spectrum_profile(1.0, epsilon=2.0)
+        with pytest.raises(ValueError):
+            kernels.spectrum_profile(1.0, rank=0)
 
 
 class TestBasisSubset:
     def test_members_orthonormal(self, disk_quad):
-        basis = kernels.BasisSubset(radius=1.5, indices=(0, 2, 5))
+        basis = disk_basis(1.5, (0, 2, 5))
         z, w = disk_quad(1.5)
         vecs = kernels.feature_vector(basis, z)  # (3, m)
         gram = (vecs * w) @ vecs.conj().T
         assert np.allclose(gram, np.eye(3), atol=1e-6)
 
-    def test_scaled_members_orthonormal(self, disk_quad):
-        basis = kernels.BasisSubset(radius=2.0, indices=(0, 1, 3), scale=0.5)
-        z, w = disk_quad(1.0)
-        vecs = kernels.feature_vector(basis, z)
-        gram = (vecs * w) @ vecs.conj().T
-        assert np.allclose(gram, np.eye(3), atol=1e-6)
+    def test_rejects_indices_outside_profile(self):
+        prof = kernels.spectrum_profile(1.5, rank=4)
+        for indices in ((0, 4), (-1, 2)):
+            with pytest.raises(ValueError):
+                kernels.BasisSubset(prof, indices)
+        with pytest.raises(ValueError):
+            kernels.BasisSubset(kernels.spectrum_profile(0.0, rank=1), (0,))
 
 
 class TestJanossyOracle:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ginibre import matrix_sampler, validation
-from ginibre.records import SampleSet
-from ginibre.streams import stream_rng
+from ginibre import eigen, matrix_sampler, pipelines, validation
 
 
 class TestMatrixGeneration:
@@ -40,14 +38,14 @@ class TestMatrixGeneration:
 class TestTruncatedGinibreSampling:
     def test_exact_point_count(self):
         for n in (1, 4, 17):
-            s = matrix_sampler.sample_truncated_ginibre(n, np.random.default_rng(n))
+            s = pipelines.sample_matrix_batch(n, seed=n, count=1)[0]
             assert len(s) == n
             assert s.method == "matrix"
 
     def test_kostlan_moments_small(self):
         n, m = 10, 4000
         rng = np.random.default_rng(3)
-        eig = matrix_sampler.sample_truncated_ginibre_batch(n, m, rng)
+        eig = eigen.eigenvalues_batch(matrix_sampler.sample_ginibre_matrix_batch(n, m, rng))
         sums = np.sum(np.abs(eig) ** 2, axis=1)
         k = n * (n + 1) / 2.0
         assert abs(sums.mean() - k) <= 3 * math.sqrt(k / m)
@@ -58,7 +56,7 @@ class TestTruncatedGinibreSampling:
     def test_max_radius_ks_rank_one(self):
         # at N=1, |X|^2 is Exp(1)
         rng = np.random.default_rng(4)
-        eig = matrix_sampler.sample_truncated_ginibre_batch(1, 5000, rng)
+        eig = eigen.eigenvalues_batch(matrix_sampler.sample_ginibre_matrix_batch(1, 5000, rng))
         vals = np.abs(eig[:, 0]) ** 2
         res = scipy_stats.kstest(vals, scipy_stats.expon.cdf)
         assert res.pvalue > 0.01
@@ -66,7 +64,7 @@ class TestTruncatedGinibreSampling:
     def test_max_radius_ks_exact_cdf(self):
         n, m = 8, 3000
         rng = np.random.default_rng(5)
-        eig = matrix_sampler.sample_truncated_ginibre_batch(n, m, rng)
+        eig = eigen.eigenvalues_batch(matrix_sampler.sample_ginibre_matrix_batch(n, m, rng))
         maxes = np.max(np.abs(eig) ** 2, axis=1)
         res = scipy_stats.kstest(maxes, validation.kostlan_max_cdf(n))
         assert res.pvalue > 0.01
@@ -74,14 +72,13 @@ class TestTruncatedGinibreSampling:
     def test_isotropy_chi_square(self):
         n, m, bins = 20, 2000, 16
         rng = np.random.default_rng(6)
-        eig = matrix_sampler.sample_truncated_ginibre_batch(n, m, rng)
+        eig = eigen.eigenvalues_batch(matrix_sampler.sample_ginibre_matrix_batch(n, m, rng))
         angles = np.angle(eig).ravel()
         counts, _ = np.histogram(angles, bins=bins, range=(-math.pi, math.pi))
         res = scipy_stats.chisquare(counts)
         assert res.pvalue > 0.01
 
     def test_radial_histogram_matches_intensity(self):
-        from ginibre import pipelines
         samples = pipelines.sample_matrix_batch(50, seed=8, count=2500)
         report = validation.ValidationReport(seed=8)
         validation.intensity_check(samples, report)
@@ -90,7 +87,8 @@ class TestTruncatedGinibreSampling:
     def test_fault_injection_breaks_kostlan(self):
         n, m = 10, 4000
         rng = np.random.default_rng(9)
-        eig = matrix_sampler.sample_truncated_ginibre_batch(n, m, rng, entry_scale=math.sqrt(2))
+        mats = matrix_sampler.sample_ginibre_matrix_batch(n, m, rng, entry_scale=math.sqrt(2))
+        eig = eigen.eigenvalues_batch(mats)
         sums = np.sum(np.abs(eig) ** 2, axis=1)
         k = n * (n + 1) / 2.0
         assert abs(sums.mean() - k) > 10 * math.sqrt(k / m)

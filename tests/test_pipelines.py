@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ginibre import pipelines
+from ginibre import hkpv, pipelines
 from ginibre.hkpv import RejectionCapError
 from ginibre.kernels import spectrum_profile
+from ginibre.specfun import log_factorial, log_regularized_lower_gamma
 from ginibre.streams import stream_rng
 
 
@@ -30,6 +31,22 @@ class TestDiskRoute:
         hole_th = math.exp(prof.log_hole_probability())
         sig = math.sqrt(hole_th * (1 - hole_th) / m)
         assert abs(np.mean(counts == 0) - hole_th) <= 3.5 * sig
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0])
+    def test_basis_norms_are_per_index_gamma(self, radius, monkeypatch):
+        # each draw's basis reads its norms from the sampler's profile; they
+        # equal ln gamma(i+1, R^2) = ln P(i+1, R^2) + ln i! bit for bit
+        bases = []
+        monkeypatch.setattr(hkpv, "sample_projection_dpp",
+                            lambda basis, rng, **kw: bases.append(basis) or np.empty(0))
+        sampler = pipelines.GinibreDiskSampler(radius)
+        for i in range(200):
+            sampler.sample(stream_rng(13, i))
+        assert bases
+        for basis in bases:
+            idx = np.array(basis.indices)
+            expected = log_regularized_lower_gamma(idx + 1, radius * radius) + log_factorial(idx)
+            assert np.array_equal(basis.log_gamma_norms(), expected)
 
     def test_seed_determinism(self):
         a = pipelines.sample_ginibre_on_disk(1.5, seed=77)
