@@ -4,8 +4,11 @@ Points are drawn one at a time from conditional densities
 p_i(x) = (||v(x)||^2 - sum_j |e_j* v(x)|^2) / i, where v is the feature
 vector of the basis eigenfunctions and the e_j are an orthonormal basis
 of the span of the feature vectors at already-accepted points, maintained
-by modified Gram-Schmidt. Each conditional is sampled by rejection from
-the uniform law on the disk under a precomputed sup bound.
+by classical Gram-Schmidt applied twice. Each conditional is sampled by
+rejection from the uniform law on the disk under a precomputed sup bound.
+Proposals are evaluated in blocks, one conditional_density call per
+block, while the random stream is consumed exactly as by one proposal at
+a time.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ DEFAULT_MAX_PROPOSALS = 1_000_000
 # the run.
 _HARD_FLOOR = 1e-9
 
+# A proposal block's feature matrix holds at most about this many entries.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 class OrthogonalityError(RuntimeError):
     """Conditional density went negative beyond rounding tolerance."""
@@ -48,40 +54,51 @@ class RejectionCapError(RuntimeError):
 
 @dataclass
 class OrthoState:
-    """Mutable sampler state: basis, accepted points, orthonormal vectors."""
+    """Mutable sampler state: basis, accepted points, orthonormal vectors.
+
+    conj_rows is a preallocated (n, n) buffer whose first j rows are the
+    conjugated orthonormal vectors conj(e_1)..conj(e_j): conj_rows[:j] @ v
+    gives the coefficients e_k* v in one matrix product.
+    """
 
     basis: BasisSubset
     accepted: list = field(default_factory=list)
-    ortho: np.ndarray = None  # (j, n) rows e_1..e_j
+    conj_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.ortho is None:
-            self.ortho = np.zeros((0, self.basis.size), dtype=complex)
+        self.conj_rows = np.zeros((self.basis.size, self.basis.size), dtype=complex)
 
     @property
     def remaining(self) -> int:
         return self.basis.size - len(self.accepted)
 
+    @property
+    def ortho(self) -> np.ndarray:
+        """The (j, n) orthonormal rows e_1..e_j, as a new array."""
+        return self.conj_rows[:len(self.accepted)].conj()
+
+    @ortho.setter
+    def ortho(self, rows: np.ndarray) -> None:
+        self.conj_rows[:len(rows)] = np.conj(rows)
+
     def add_point(self, z: complex) -> None:
         """Accept z and extend the orthonormal set with its feature vector.
 
-        Modified Gram-Schmidt with one re-orthogonalization pass whenever
-        the norm drops by more than a factor of 10 (classical single-pass
-        GS loses orthogonality by n ~ 100).
+        Classical Gram-Schmidt applied twice: each pass removes the
+        projection on the accepted span with two matrix-vector products,
+        and the second pass restores orthogonality to working precision
+        (a single pass loses it by n ~ 100).
         """
-        v = feature_vector(self.basis, z)
-        w = v.copy()
-        for e in self.ortho:
-            w -= (e.conj() @ w) * e
-        norm_v = np.linalg.norm(v)
+        j = len(self.accepted)
+        rows = self.conj_rows[:j]
+        w = feature_vector(self.basis, z)
+        for _ in range(2):
+            # sum_k (e_k* w) e_k, with e_k = conj(rows[k])
+            w = w - ((rows @ w).conj() @ rows).conj()
         norm_w = np.linalg.norm(w)
-        if norm_w < 0.1 * norm_v:
-            for e in self.ortho:
-                w -= (e.conj() @ w) * e
-            norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             raise OrthogonalityError("feature vector already in accepted span")
-        self.ortho = np.vstack([self.ortho, w / norm_w])
+        self.conj_rows[j] = w.conj() / norm_w
         self.accepted.append(complex(z))
 
 
@@ -131,8 +148,8 @@ def conditional_density(state: OrthoState, z):
     scalar = v.ndim == 1
     vv = v[:, None] if scalar else v
     norm2 = np.einsum("nm,nm->m", vv.conj(), vv).real
-    if len(state.ortho):
-        proj = state.ortho.conj() @ vv
+    if state.accepted:
+        proj = state.conj_rows[:len(state.accepted)] @ vv
         norm2 = norm2 - np.einsum("jm,jm->m", proj.conj(), proj).real
     p = norm2 / i
     low = p.min()
@@ -155,9 +172,10 @@ def envelope_bound(state: OrthoState, sup_norm_sq: float | None = None) -> float
     return sup_norm_sq / state.remaining
 
 
-def _uniform_disk(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * math.sqrt(rng.random())
-    theta = rng.uniform(-math.pi, math.pi)
+def _disk_point(radius: float, u_radius: float, u_angle: float) -> complex:
+    """Uniform point on the disk from two uniforms, as one proposal draws it."""
+    r = radius * math.sqrt(u_radius)
+    theta = -math.pi + 2.0 * math.pi * u_angle
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
@@ -165,15 +183,37 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
                    envelope: float,
                    diagnostics: RejectionDiagnostics | None = None,
                    max_proposals: int = DEFAULT_MAX_PROPOSALS) -> complex:
-    """Exact draw from p_i by rejection from the uniform law on the disk."""
+    """Exact draw from p_i by rejection from the uniform law on the disk.
+
+    Each proposal reads three doubles (radius, angle, u) and is accepted
+    when u * envelope < p_i(z). A block of about 1.5x the expected number
+    of proposals is drawn and evaluated with one conditional_density call;
+    the first acceptance wins, and the stream is rewound and redrawn up to
+    it, so it ends where a one-at-a-time loop would leave it. A density
+    below the hard floor anywhere in the block raises OrthogonalityError,
+    also past the accepted proposal.
+    """
     radius = state.basis.radius
-    for attempt in range(1, max_proposals + 1):
-        z = _uniform_disk(rng, radius)
-        u = rng.random() * envelope
-        if u < conditional_density(state, z):
+    block = min(math.ceil(1.5 * envelope * math.pi * radius * radius),
+                _BLOCK_ELEMENTS // state.basis.size)
+    block = max(block, 1)
+    tried = 0
+    while tried < max_proposals:
+        size = min(block, max_proposals - tried)
+        saved = rng.bit_generator.state
+        u_radius, u_angle, u = rng.random(3 * size).reshape(size, 3).T
+        r = radius * np.sqrt(u_radius)
+        theta = -math.pi + 2.0 * math.pi * u_angle
+        z = r * np.cos(theta) + 1j * (r * np.sin(theta))
+        accept = u * envelope < conditional_density(state, z)
+        k = int(accept.argmax())
+        if accept[k]:
+            rng.bit_generator.state = saved
+            rng.random(3 * (k + 1))
             if diagnostics is not None:
-                diagnostics.record_step(attempt)
-            return z
+                diagnostics.record_step(tried + k + 1)
+            return _disk_point(radius, float(u_radius[k]), float(u_angle[k]))
+        tried += size
     raise RejectionCapError(
         f"no acceptance after {max_proposals} proposals (envelope={envelope})"
     )

@@ -38,6 +38,7 @@ __all__ = [
     "SpectrumProfile",
     "spectrum_profile",
     "BasisSubset",
+    "conditioned_basis",
     "feature_vector",
     "ginibre_kernel",
     "truncated_kernel",
@@ -164,6 +165,18 @@ class BasisSubset:
         return self._norm_logs
 
 
+def conditioned_basis(n_points: int) -> BasisSubset:
+    """All N eigenfunctions of the rank-N kernel on B_sqrt(N).
+
+    The basis of the conditioned kernel, shared by the conditioned
+    sampler, the kernel itself and its deviation bound.
+    """
+    if n_points < 1:
+        raise ValueError("rank must be >= 1")
+    return BasisSubset(spectrum_profile(math.sqrt(n_points), rank=n_points),
+                       tuple(range(n_points)))
+
+
 def feature_vector(basis: BasisSubset, z) -> np.ndarray:
     """(psi_i(z))_{i in basis}; the zero vector outside the basis disk.
 
@@ -232,18 +245,22 @@ def truncated_kernel(n_rank: int, z1: complex, z2: complex) -> complex:
     return _kernel_sum(log_coeffs, complex(z1), complex(z2))
 
 
-def conditioned_kernel(n_points: int, z1: complex, z2: complex) -> complex:
+def conditioned_kernel(n_points: int, z1, z2):
     """Rank-N projection kernel on B_sqrt(N): the truncated process
-    conditioned to all N points falling inside that disk."""
-    if n_points < 1:
-        raise ValueError("rank must be >= 1")
-    z1 = complex(z1)
-    z2 = complex(z2)
-    radius = math.sqrt(n_points)
-    if abs(z1) > radius * (1 + 1e-12) or abs(z2) > radius * (1 + 1e-12):
-        return 0.0j
-    basis = BasisSubset(spectrum_profile(radius, rank=n_points), tuple(range(n_points)))
-    return _kernel_sum(-basis.log_gamma_norms(), z1, z2)
+    conditioned to all N points falling inside that disk.
+
+    z1 and z2 are points or arrays of points that broadcast together; the
+    basis is built once per call, so many pairs are best passed at once.
+    """
+    basis = conditioned_basis(n_points)
+    log_coeffs = -basis.log_gamma_norms()
+    limit = basis.radius * (1 + 1e-12)
+    a, b = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    out = np.array([
+        0.0j if abs(p) > limit or abs(q) > limit else _kernel_sum(log_coeffs, p, q)
+        for p, q in zip(map(complex, a.flat), map(complex, b.flat))
+    ], dtype=complex).reshape(a.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def radial_intensity(n_rank: int, r):
@@ -376,10 +393,7 @@ def conditioned_kernel_max_deviation(n_rank: int, radius: float = 1.0,
     |z1| = |z2| = sqrt|w|, so the supremum reduces to a polar grid over w
     with |w| <= radius^2.
     """
-    if n_rank < 1:
-        raise ValueError("rank must be >= 1")
-    basis = BasisSubset(spectrum_profile(math.sqrt(n_rank), rank=n_rank),
-                        tuple(range(n_rank)))
+    basis = conditioned_basis(n_rank)
     inv_gamma = np.exp(-basis.log_gamma_norms())
     rr = np.linspace(0.0, radius * radius, grid)
     th = np.linspace(0.0, math.pi, grid)

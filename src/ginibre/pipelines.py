@@ -25,9 +25,9 @@ from functools import partial
 import numpy as np
 
 from . import eigen, hkpv, matrix_sampler, point_count
-from .kernels import BasisSubset, SpectrumProfile, spectrum_profile
+from .kernels import BasisSubset, SpectrumProfile, conditioned_basis, spectrum_profile
 from .records import RejectionDiagnostics, SampleSet
-from .streams import child_seed, stream_rng
+from .streams import child_seed
 
 __all__ = [
     "GinibreDiskSampler",
@@ -103,8 +103,7 @@ class ConditionedSampler:
         if self.target_radius <= 0.0:
             raise ValueError("target radius must be positive")
         self.max_proposals = max_proposals
-        self.basis = BasisSubset(spectrum_profile(root_n, rank=self.n_points),
-                                 tuple(range(self.n_points)))
+        self.basis = conditioned_basis(self.n_points)
         self.sup_norm_sq = hkpv.sup_feature_norm_sq(self.basis)
         self.scale_out = self.target_radius / root_n
 
@@ -135,22 +134,23 @@ def _sequential_batch(sampler, seed: int, count: int, offset: int,
     """
     if workers > 1 and count >= 64:
         return _fan_out(partial(_sequential_batch, sampler, seed), count, offset, workers)
-    return [
-        sampler.sample(stream_rng(seed, offset + i), seed=child_seed(seed, offset + i))
-        for i in range(count)
-    ]
+    return [_stream_sample(sampler, seed, offset + i) for i in range(count)]
+
+
+def _stream_sample(sampler, seed: int, index: int) -> SampleSet:
+    """sampler.sample on stream (seed, index), derived once and recorded."""
+    child = child_seed(seed, index)
+    return sampler.sample(np.random.default_rng(child), seed=child)
 
 
 def sample_ginibre_on_disk(radius: float, seed: int, epsilon: float = 1e-12) -> SampleSet:
     """One draw of the Ginibre process restricted to B_R."""
-    sampler = GinibreDiskSampler(radius, epsilon)
-    return sampler.sample(stream_rng(seed, 0), seed=child_seed(seed, 0))
+    return _stream_sample(GinibreDiskSampler(radius, epsilon), seed, 0)
 
 
 def sample_conditioned_truncated(n_points: int, target_radius: float, seed: int) -> SampleSet:
     """One draw of the conditioned process: exactly N points inside B_a."""
-    sampler = ConditionedSampler(n_points, target_radius)
-    return sampler.sample(stream_rng(seed, 0), seed=child_seed(seed, 0))
+    return _stream_sample(ConditionedSampler(n_points, target_radius), seed, 0)
 
 
 def _matrix_batch_serial(n_points: int, seed: int, count: int, offset: int,
@@ -158,16 +158,16 @@ def _matrix_batch_serial(n_points: int, seed: int, count: int, offset: int,
     out: list[SampleSet] = []
     for start in range(0, count, chunk):
         size = min(chunk, count - start)
+        children = [child_seed(seed, offset + start + i) for i in range(size)]
         mats = np.stack([
             matrix_sampler.sample_ginibre_matrix(
-                n_points, stream_rng(seed, offset + start + i), entry_scale)
-            for i in range(size)
+                n_points, np.random.default_rng(child), entry_scale)
+            for child in children
         ])
         eig = eigen.eigenvalues_batch(mats)
-        for i in range(size):
+        for i, child in enumerate(children):
             out.append(SampleSet(
-                points=eig[i], method="matrix", params={"N": n_points},
-                seed=child_seed(seed, offset + start + i),
+                points=eig[i], method="matrix", params={"N": n_points}, seed=child,
             ))
     return out
 

@@ -216,8 +216,7 @@ def intensity_check(samples: list[SampleSet], report: ValidationReport,
         edges = np.linspace(0.0, math.sqrt(n), bins + 1)
         radii = np.concatenate([s.radii() for s in samples]) / scale
         total = len(samples) * n
-        dens = lambda r: np.array(
-            [kernels.conditioned_kernel(n, ri, ri).real for ri in r]) * 2 * math.pi * r / n
+        dens = lambda r: kernels.conditioned_kernel(n, r, r).real * 2 * math.pi * r / n
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from ginibre import eigen, hkpv, kernels, pipelines, validation
-from ginibre.kernels import BasisSubset, spectrum_profile
+from ginibre.kernels import spectrum_profile
 from ginibre.streams import stream_rng
 
 SEED = 20250801
@@ -178,7 +178,7 @@ def test_criterion_10_hkpv_conditional_densities():
     worst_mass = 0.0
     worst_at_points = 0.0
     for n in (2, 5, 8):
-        basis = BasisSubset(spectrum_profile(math.sqrt(n), rank=n), tuple(range(n)))
+        basis = kernels.conditioned_basis(n)
         z, w = polar_quadrature(math.sqrt(n), n_r=96, n_theta=4 * n + 8)
         state = hkpv.OrthoState(basis=basis)
         rng = stream_rng(SEED + n, 0)

@@ -1,16 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from ginibre import hkpv, kernels
-from ginibre.kernels import BasisSubset, spectrum_profile
+from ginibre.kernels import BasisSubset, conditioned_basis, spectrum_profile
 from ginibre.records import RejectionDiagnostics
-
-
-def conditioned_basis(n):
-    return BasisSubset(spectrum_profile(math.sqrt(n), rank=n), tuple(range(n)))
 
 
 class TestFeatureVector:
@@ -199,6 +196,64 @@ class TestRejectionStep:
             hkpv.rejection_step(state, rng, 1e12, max_proposals=50)
 
 
+def scalar_rejection_step(state, rng, envelope, max_proposals):
+    """Reference: one proposal at a time, (radius, angle, u) in stream order."""
+    radius = state.basis.radius
+    for attempt in range(1, max_proposals + 1):
+        r = radius * math.sqrt(rng.random())
+        theta = rng.uniform(-math.pi, math.pi)
+        z = complex(r * math.cos(theta), r * math.sin(theta))
+        if rng.random() * envelope < hkpv.conditional_density(state, z):
+            return z, attempt
+    raise hkpv.RejectionCapError(f"no acceptance after {max_proposals} proposals")
+
+
+def stream_state(rng):
+    # pickled, so MT19937's key array compares by value
+    return pickle.dumps(rng.bit_generator.state)
+
+
+class TestBlockStream:
+    """The block step reads the stream exactly as the one-proposal loop."""
+
+    BASES = {
+        **{f"conditioned_n{n}": (lambda n=n: conditioned_basis(n)) for n in (1, 3, 20, 100)},
+        "projected_r3_thinned": lambda: BasisSubset(spectrum_profile(3.0),
+                                                    (0, 1, 2, 4, 5, 7, 8, 11, 13)),
+    }
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.default_rng(21),
+        lambda: np.random.Generator(np.random.MT19937(5)),
+    ], ids=["pcg64", "mt19937"])
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_same_points_attempts_and_state(self, name, make_rng):
+        basis = self.BASES[name]()
+        sup = hkpv.sup_feature_norm_sq(basis)
+        ref_state, block_state = hkpv.OrthoState(basis=basis), hkpv.OrthoState(basis=basis)
+        ref_rng, block_rng = make_rng(), make_rng()
+        diag = RejectionDiagnostics()
+        while block_state.remaining > 0:
+            envelope = sup / block_state.remaining
+            z_ref, attempts = scalar_rejection_step(ref_state, ref_rng, envelope, 10**6)
+            before = diag.proposals
+            z = hkpv.rejection_step(block_state, block_rng, envelope, diagnostics=diag)
+            assert np.complex128(z).tobytes() == np.complex128(z_ref).tobytes()
+            assert diag.proposals - before == attempts
+            assert stream_state(block_rng) == stream_state(ref_rng)
+            ref_state.add_point(z_ref)
+            block_state.add_point(z)
+
+    def test_cap_consumes_exactly_three_doubles_per_proposal(self):
+        # 2048 basis functions cap the block at 32 proposals; 37 = 32 + 5
+        state = hkpv.OrthoState(basis=conditioned_basis(2048))
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        with pytest.raises(hkpv.RejectionCapError):
+            hkpv.rejection_step(state, rng, 1e12, max_proposals=37)
+        ref.random(3 * 37)
+        assert stream_state(rng) == stream_state(ref)
+
+
 class TestSampleProjectionDpp:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_exact_count(self, n):
@@ -228,6 +283,18 @@ class TestSampleProjectionDpp:
             state.add_point(hkpv.rejection_step(state, rng, sup / state.remaining))
         gram = state.ortho @ state.ortho.conj().T
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
+
+    def test_orthonormal_vectors_maintained_n200(self):
+        # two-pass classical Gram-Schmidt stays at working precision
+        n = 200
+        basis = conditioned_basis(n)
+        state = hkpv.OrthoState(basis=basis)
+        rng = np.random.default_rng(15)
+        sup = hkpv.sup_feature_norm_sq(basis)
+        while state.remaining > 0:
+            state.add_point(hkpv.rejection_step(state, rng, sup / state.remaining))
+        gram = state.ortho @ state.ortho.conj().T
+        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
 
     def test_exchangeability_first_vs_last(self):
         # the output set is exchangeable: the first-accepted and

@@ -133,8 +133,8 @@ class TestConditionedKernel:
         rng = np.random.default_rng(6)
         pts = random_disk_points(rng, 2, radius * 0.8)
         z1, z2 = pts
-        left = np.array([kernels.conditioned_kernel(n_rank, z1, p) for p in z])
-        right = np.array([kernels.conditioned_kernel(n_rank, p, z2) for p in z])
+        left = kernels.conditioned_kernel(n_rank, z1, z)
+        right = kernels.conditioned_kernel(n_rank, z, z2)
         integral = np.sum(w * left * right)
         assert integral == pytest.approx(
             kernels.conditioned_kernel(n_rank, z1, z2), abs=1e-5)
@@ -146,6 +146,14 @@ class TestConditionedKernel:
 
     def test_zero_outside_disk(self):
         assert kernels.conditioned_kernel(4, 3.0, 0.1) == 0.0
+
+    def test_array_form_matches_pointwise(self):
+        z = np.array([0.0, 0.3 + 0.4j, -1.1j, 1.9, 2.5 + 0.1j])  # last one outside B_2
+        grid = kernels.conditioned_kernel(4, z[:, None], z[None, :])
+        pointwise = np.array([[kernels.conditioned_kernel(4, a, b) for b in z] for a in z])
+        assert grid.shape == (5, 5)
+        assert grid.tobytes() == pointwise.tobytes()
+        assert np.all(grid[-1] == 0.0) and np.all(grid[:, -1] == 0.0)
 
 
 class TestRadialIntensity:
