@@ -93,6 +93,14 @@ class TestSampleCommand:
                        "--max-proposals", "1", "-o", str(tmp_path / "x.csv")])
         assert rc == 3
 
+    def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch):
+        from ginibre import eigen
+        real = eigen.zgees
+        monkeypatch.setattr(eigen, "zgees", lambda *a, **k: (*real(*a, **k)[:-1], 1))
+        rc = cli.main(["sample", "--method", "matrix", "--n", "5", "--count", "2",
+                       "--seed", "1", "-o", str(tmp_path / "x.csv")])
+        assert rc == 3
+
     @pytest.mark.parametrize("name, value, flag", [
         ("GINIBRE_EPSILON", "not-a-number", ["--epsilon", "1e-10"]),
         ("GINIBRE_MAX_PROPOSALS", "abc", ["--max-proposals", "1000"]),

@@ -138,8 +138,10 @@ class TestErrorPaths:
         with pytest.raises(ValueError):
             eigen.eigenvalues_batch(np.zeros((1, 2, 3)))
 
-    def test_budget_exhaustion_is_loud(self, monkeypatch):
-        monkeypatch.setattr(eigen, "_SWEEPS_PER_EIGENVALUE", 0)
+    @pytest.mark.parametrize("routine", ["zgebal", "zgehrd", "zgees"])
+    def test_lapack_failure_is_loud(self, monkeypatch, routine):
+        real = getattr(eigen, routine)
+        monkeypatch.setattr(eigen, routine, lambda *a, **k: (*real(*a, **k)[:-1], 1))
         rng = np.random.default_rng(6)
-        with pytest.raises(eigen.EigensolverError):
+        with pytest.raises(eigen.EigensolverError, match=routine):
             eigen.eigenvalues(random_complex(rng, 8))

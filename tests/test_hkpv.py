@@ -83,14 +83,11 @@ class TestConditionalDensity:
         first = 0.4 + 0.3j
         state.add_point(first)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            kmat = np.array([
-                [kernels.conditioned_kernel(n, first, first),
-                 kernels.conditioned_kernel(n, first, z)],
-                [kernels.conditioned_kernel(n, z, first),
-                 kernels.conditioned_kernel(n, z, z)],
-            ])
+        u = rng.uniform(-1, 1, (20, 2))
+        zs = u[:, 0] + 1j * u[:, 1]
+        pairs = np.stack([np.full(20, first), zs], axis=1)
+        kmats = kernels.conditioned_kernel(n, pairs[:, :, None], pairs[:, None, :])
+        for z, kmat in zip(zs, kmats):
             p2 = np.linalg.det(kmat).real / 2.0
             p1 = kmat[0, 0].real / 2.0
             assert hkpv.conditional_density(state, z) == pytest.approx(
@@ -337,14 +334,10 @@ class TestSampleProjectionDpp:
                     else:
                         hits_b += 1
 
-        def joint(pair):
-            kmat = np.array([
-                [kernels.conditioned_kernel(n, pair[0], pair[0]),
-                 kernels.conditioned_kernel(n, pair[0], pair[1])],
-                [kernels.conditioned_kernel(n, pair[1], pair[0]),
-                 kernels.conditioned_kernel(n, pair[1], pair[1])],
-            ])
-            return np.linalg.det(kmat).real / 2.0
+        def joint(pairs):
+            # joint density of each row's two points, one kernel call for all
+            kmats = kernels.conditioned_kernel(n, pairs[:, :, None], pairs[:, None, :])
+            return np.linalg.det(kmats).real / 2.0
 
         ratio_emp = hits_a / hits_b
         # bin-averaged theoretical ratio: integrate the joint density over
@@ -355,8 +348,7 @@ class TestSampleProjectionDpp:
         offs = offs[np.all(np.abs(offs) < eps, axis=1)]
 
         def smeared(pair):
-            vals = [2.0 * joint((pair[0] + o1, pair[1] + o2)) for o1, o2 in offs]
-            return float(np.mean(vals))
+            return float(np.mean(2.0 * joint(np.array(pair) + offs)))
 
         ratio_th = smeared(pair_a) / smeared(pair_b)
         sigma = ratio_emp * math.sqrt(1 / max(hits_a, 1) + 1 / max(hits_b, 1))

@@ -163,6 +163,16 @@ class TestMatrixBatch:
             assert np.array_equal(x.points, y.points)
             assert np.array_equal(x.points, z.points)
 
+    def test_chunk_and_worker_invariance_threaded_blas_order(self):
+        # From N ~ 74 up, LAPACK's reduction runs threaded BLAS: bytes may
+        # depend on the BLAS thread count, but not on chunking or workers.
+        base = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=64)
+        rechunked = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=16)
+        workered = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=16, workers=2)
+        for x, y, z in zip(base, rechunked, workered):
+            assert np.array_equal(x.points, y.points)
+            assert np.array_equal(x.points, z.points)
+
     def test_outside_count_matches_delta(self):
         from ginibre.validation import ValidationReport, outside_disk_check
         samples = pipelines.sample_matrix_batch(50, seed=14, count=2500)
