@@ -115,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_sample_args(args) -> str | None:
     if args.count < 1:
         return "--count must be >= 1"
+    if args.workers < 1:
+        return "--workers must be >= 1"
     if args.method == "matrix":
         if args.n is None or args.n < 1:
             return "matrix method needs --n >= 1"
@@ -205,6 +207,10 @@ def _run_intensity(args) -> int:
 
 
 def _run_validate(args) -> int:
+    if not (math.isfinite(args.scale) and args.scale > 0.0) or args.workers < 1:
+        print("ginibre validate: --scale must be finite and > 0, --workers >= 1",
+              file=sys.stderr)
+        return EXIT_USAGE
     entry_scale = math.sqrt(2.0) if args.inject_fault else 1.0
     report = validation.run_validation_suite(
         seed=args.seed, scale=args.scale, workers=args.workers,

@@ -161,14 +161,12 @@ def conditional_density(state: OrthoState, z):
     return float(p[0]) if scalar else p
 
 
-def envelope_bound(state: OrthoState, sup_norm_sq: float | None = None) -> float:
+def envelope_bound(state: OrthoState, sup_norm_sq: float) -> float:
     """Certified constant bound M_i >= sup p_i for the current step.
 
     p_i <= ||v||^2 / i pointwise, so the precomputed radial supremum of
     ||v||^2 divided by the number of remaining points is an upper bound.
     """
-    if sup_norm_sq is None:
-        sup_norm_sq = sup_feature_norm_sq(state.basis)
     return sup_norm_sq / state.remaining
 
 

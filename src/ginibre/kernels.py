@@ -16,7 +16,8 @@ index set of a profile.
 All eigenfunction arithmetic is done as (log magnitude, phase): the raw
 monomials z^n / sqrt(n!) overflow doubles near n ~ 150, while their
 normalized combinations are tame. Linear values only materialize as the
-last step of feature_vector and of the kernel series.
+last step of feature_vector, and every kernel series (truncated,
+conditioned, and the deviation bound) is a sum over feature_vector.
 """
 
 from __future__ import annotations
@@ -207,42 +208,42 @@ def feature_vector(basis: BasisSubset, z) -> np.ndarray:
 # kernel evaluation
 
 
-def ginibre_kernel(z1: complex, z2: complex) -> complex:
-    """Plane Ginibre kernel (1/pi) e^{z1 conj(z2)} e^{-(|z1|^2+|z2|^2)/2}."""
-    z1 = complex(z1)
-    z2 = complex(z2)
-    expo = z1 * z2.conjugate() - 0.5 * (abs(z1) ** 2 + abs(z2) ** 2)
+def ginibre_kernel(z1, z2):
+    """Plane Ginibre kernel (1/pi) e^{z1 conj(z2)} e^{-(|z1|^2+|z2|^2)/2}, broadcasting."""
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    expo = z1 * z2.conj() - 0.5 * (np.abs(z1) ** 2 + np.abs(z2) ** 2)
     # Re(expo) <= 0 always, so this cannot overflow.
-    return np.exp(expo) / math.pi
+    out = np.exp(expo) / math.pi
+    return complex(out) if out.ndim == 0 else out
 
 
-def _kernel_sum(log_coeffs: np.ndarray, z1: complex, z2: complex) -> complex:
-    """(1/pi) e^{-(|z1|^2+|z2|^2)/2} sum_n exp(log_coeffs[n]) (z1 conj z2)^n.
+def _kernel(basis: BasisSubset, z1, z2):
+    """sum_{i in basis} psi_i(z1) conj(psi_i(z2)), broadcasting z1 against z2.
 
-    The peak term's log magnitude is folded into the damping exponent, so
-    monomials never materialize outside the double range.
+    One feature_vector call per side; the einsum sums each pair in the same
+    order however many pairs share the call.
     """
-    w = z1 * z2.conjugate()
-    absw = abs(w)
-    ns = np.arange(len(log_coeffs))
-    if absw > 0.0:
-        logmag = log_coeffs + ns * math.log(absw)
-        angles = ns * np.angle(w)
-    else:
-        logmag = np.where(ns == 0, log_coeffs, -np.inf)
-        angles = np.zeros(len(ns))
-    peak = float(logmag.max())
-    total = np.sum(np.exp(logmag - peak) * np.exp(1j * angles))
-    scale = peak - 0.5 * (abs(z1) ** 2 + abs(z2) ** 2) - _LOG_PI
-    return complex(total) * math.exp(scale)
+    a, b = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    left = feature_vector(basis, a.ravel())
+    right = feature_vector(basis, b.ravel())
+    out = np.einsum("nm,nm->m", left, right.conj()).reshape(a.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
-def truncated_kernel(n_rank: int, z1: complex, z2: complex) -> complex:
-    """Rank-N truncation: sum_{n<N} phi_n(z1) conj(phi_n(z2))."""
+def truncated_kernel(n_rank: int, z1, z2):
+    """Rank-N truncation: sum_{n<N} phi_n(z1) conj(phi_n(z2)), broadcasting.
+
+    The plane basis is the rank-N profile at R = inf (eigenvalues 1, norms
+    ln n!, no disk cut), built directly: the gammas are undefined at inf.
+    """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
-    log_coeffs = -log_factorial(np.arange(n_rank))
-    return _kernel_sum(log_coeffs, complex(z1), complex(z2))
+    plane = SpectrumProfile(
+        radius=math.inf, epsilon=0.0, eigenvalues=np.ones(n_rank),
+        log_eigenvalues=np.zeros(n_rank), log_one_minus=np.full(n_rank, -np.inf),
+        tail_log=0.0, trace=float(n_rank))
+    return _kernel(BasisSubset(plane, tuple(range(n_rank))), z1, z2)
 
 
 def conditioned_kernel(n_points: int, z1, z2):
@@ -252,15 +253,7 @@ def conditioned_kernel(n_points: int, z1, z2):
     z1 and z2 are points or arrays of points that broadcast together; the
     basis is built once per call, so many pairs are best passed at once.
     """
-    basis = conditioned_basis(n_points)
-    log_coeffs = -basis.log_gamma_norms()
-    limit = basis.radius * (1 + 1e-12)
-    a, b = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
-    out = np.array([
-        0.0j if abs(p) > limit or abs(q) > limit else _kernel_sum(log_coeffs, p, q)
-        for p, q in zip(map(complex, a.flat), map(complex, b.flat))
-    ], dtype=complex).reshape(a.shape)
-    return complex(out) if out.ndim == 0 else out
+    return _kernel(conditioned_basis(n_points), z1, z2)
 
 
 def radial_intensity(n_rank: int, r):
@@ -390,16 +383,14 @@ def conditioned_kernel_max_deviation(n_rank: int, radius: float = 1.0,
 
     Both kernels' moduli depend on (z1, z2) only through w = z1 conj(z2)
     and |z1|^2 + |z2|^2; at fixed w the damping factor is largest at
-    |z1| = |z2| = sqrt|w|, so the supremum reduces to a polar grid over w
-    with |w| <= radius^2.
+    |z1| = |z2| = sqrt|w|, so the supremum reduces to a polar grid of
+    pairs (s e^{it}, s) with s <= radius, where
+    K~^N(s e^{it}, s) = sum_n psi_n(s)^2 e^{int}.
     """
     basis = conditioned_basis(n_rank)
-    inv_gamma = np.exp(-basis.log_gamma_norms())
-    rr = np.linspace(0.0, radius * radius, grid)
-    th = np.linspace(0.0, math.pi, grid)
-    w = rr[:, None] * np.exp(1j * th[None, :])
-    powers = w[..., None] ** np.arange(n_rank)
-    partial = powers @ inv_gamma
-    diff = np.exp(w) - partial
-    vals = np.exp(-np.abs(w)) * np.abs(diff) / math.pi
-    return float(vals.max())
+    s = np.sqrt(np.linspace(0.0, radius * radius, grid))
+    t = np.linspace(0.0, math.pi, grid)
+    psi = feature_vector(basis, s).real
+    approx = (psi * psi).T @ np.exp(1j * np.outer(basis.indices, t))
+    exact = ginibre_kernel(s[:, None] * np.exp(1j * t), s[:, None])
+    return float(np.abs(exact - approx).max())

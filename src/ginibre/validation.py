@@ -471,7 +471,7 @@ def run_validation_suite(seed: int, scale: float = 1.0, workers: int = 1,
         rng = np.random.default_rng(np.random.SeedSequence(seed + 40 + n))
         reference = [pipelines.conditioned_by_rejection(n, rng) for _ in range(m_eq)]
         sampler = pipelines.ConditionedSampler(n)
-        candidate = sampler.sample_batch(seed + 50 + n, m_eq)
+        candidate = sampler.sample_batch(seed + 50 + n, m_eq, workers=workers)
         method_equivalence_check(reference, candidate, report, label=f"_n{n}")
 
     negative_control_kostlan(report, seed + 99)

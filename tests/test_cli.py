@@ -86,6 +86,10 @@ class TestSampleCommand:
                          "--n", "3"]) == 2
         assert cli.main(["sample", "--method", "projected", "--n", "3"]) == 2
         assert cli.main(["sample", "--method", "conditioned", "--n", "3"]) == 2
+        assert cli.main(["sample", "--method", "matrix", "--n", "3",
+                         "--workers", "-2"]) == 2
+        assert cli.main(["sample", "--method", "projected", "--radius", "1",
+                         "--workers", "0"]) == 2
 
     def test_proposal_cap_exit_3_with_workers(self, tmp_path):
         rc = cli.main(["sample", "--method", "conditioned", "--n", "20",
@@ -149,15 +153,23 @@ class TestValidateCommand:
 
     def test_seeded_report_reproducible(self, tmp_path):
         # checks and verdict are deterministic; runtime_seconds is wall clock
+        # the second run at one worker: the report must not depend on the split
         payloads = []
-        for name in ("r1.json", "r2.json"):
+        for name, workers in (("r1.json", "2"), ("r2.json", "1")):
             out = tmp_path / name
             rc = cli.main(["validate", "--seed", "9", "--scale", "0.01",
-                           "--workers", "2", "-o", str(out)])
+                           "--workers", workers, "-o", str(out)])
             assert rc == 0
             payloads.append(json.loads(out.read_text()))
         assert payloads[0]["checks"] == payloads[1]["checks"]
         assert payloads[0]["passed"] == payloads[1]["passed"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scale", "nan"), ("--scale", "inf"), ("--scale", "-1"), ("--scale", "0"),
+        ("--workers", "0"),
+    ])
+    def test_bad_scale_or_workers_exit_2(self, flag, value):
+        assert cli.main(["validate", flag, value]) == 2
 
     def test_fault_injection_fails_kostlan(self, tmp_path):
         out = tmp_path / "bad.json"

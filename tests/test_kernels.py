@@ -66,6 +66,13 @@ class TestGinibreKernel:
             assert kernels.ginibre_kernel(z1 * rot, z2 * rot) == pytest.approx(
                 kernels.ginibre_kernel(z1, z2), rel=1e-12)
 
+    def test_array_form_matches_scalar_calls(self):
+        rng = np.random.default_rng(10)
+        z1, z2 = (rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))) * 2.0
+        grid = kernels.ginibre_kernel(z1[:, None], z2[None, :])
+        scalar = np.array([[kernels.ginibre_kernel(a, b) for b in z2] for a in z1])
+        np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)
+
 
 class TestTruncatedKernel:
     def test_rank_one_origin(self):
@@ -90,6 +97,14 @@ class TestTruncatedKernel:
             pts = [complex(rng.normal(), rng.normal()) for _ in range(n_pts)]
             gram = np.array([[kernels.truncated_kernel(8, a, b) for b in pts] for a in pts])
             assert np.linalg.det(gram).real >= -1e-12
+
+    @pytest.mark.parametrize("n_rank", [1, 8, 64, 600])
+    def test_diagonal_is_radial_intensity(self, n_rank):
+        r = np.linspace(0.0, math.sqrt(n_rank) + 3.0, 257)
+        z = r * np.exp(1j * np.linspace(0.0, 2 * math.pi, r.size))
+        diag = kernels.truncated_kernel(n_rank, z, z)
+        np.testing.assert_allclose(diag.real, kernels.radial_intensity(n_rank, np.abs(z)),
+                                   rtol=1e-11, atol=0.0)
 
 
 class TestProjectedEigenfunction:
@@ -143,6 +158,27 @@ class TestConditionedKernel:
         d10 = kernels.conditioned_kernel_max_deviation(10)
         d50 = kernels.conditioned_kernel_max_deviation(50)
         assert d50 < d10
+
+    @pytest.mark.parametrize("n_rank, expected, tol", [
+        # mpmath values of the grid maxima. The deviation is a difference of
+        # O(1/pi) sums, which doubles resolve to ~1e-16 absolute.
+        (10, 6.800363464373668e-04, {"rel": 1e-12}),
+        (25, 5.622890312480612e-09, {"abs": 1e-15}),
+    ])
+    def test_max_deviation_values(self, n_rank, expected, tol):
+        assert kernels.conditioned_kernel_max_deviation(n_rank) == pytest.approx(
+            expected, **tol)
+
+    @pytest.mark.parametrize("n_rank, radius", [(200, math.sqrt(200)), (400, 5.0)])
+    def test_max_deviation_matches_pairwise_at_large_rank(self, n_rank, radius):
+        grid = 40
+        dev = kernels.conditioned_kernel_max_deviation(n_rank, radius, grid=grid)
+        s = np.sqrt(np.linspace(0.0, radius * radius, grid))[:, None]
+        z1 = s * np.exp(1j * np.linspace(0.0, math.pi, grid))
+        pairwise = np.abs(kernels.ginibre_kernel(z1, s)
+                          - kernels.conditioned_kernel(n_rank, z1, s)).max()
+        assert math.isfinite(dev)
+        assert dev == pytest.approx(pairwise, rel=1e-9, abs=1e-13)
 
     def test_zero_outside_disk(self):
         assert kernels.conditioned_kernel(4, 3.0, 0.1) == 0.0
