@@ -1,12 +1,30 @@
 """Quantitative law checks: closed forms vs Monte Carlo, with pass/fail.
 
 Tolerance conventions (uniform across the suite so reports are machine
-checkable): Monte Carlo moments use z-scores with the standard deviation
-taken from the theoretical law; frequency checks likewise; KS tests run
-at level 0.01 against exact finite-N distribution functions built from
-the incomplete-gamma module; deterministic identities use relative or
-absolute slack of 1e-8 / 1e-12 as stated per check. Every theoretical
-value is recomputed from closed forms at report time.
+checkable): Monte Carlo moments and frequencies use z-scores with the
+standard deviation taken from the theoretical law, and record the
+two-sided normal tail erfc(z / sqrt 2) as `tolerance.pvalue`. KS tests
+run at level 0.01, against exact finite-N distribution functions built
+from the incomplete-gamma module or between two batches, on one value
+per draw (the largest |X_i|^2, the smallest pair distance), so that the
+values a test pools are independent; only the two-sample radius test
+pools every point. Deterministic identities use relative or absolute
+slack of 1e-8 / 1e-12 as stated per check. Every theoretical value is
+recomputed from closed forms at report time.
+
+A check function reads arrays and returns its list of CheckResults: m
+draws of N points each are an (m, N) point array, and projected-route
+draws enter as their vector of counts. The suite is the tuple FAMILIES,
+in report order; each family draws its own batches, from these seeds:
+
+    family                   seeds                        draws
+    closed_form_family       none                         none
+    kostlan_family           seed                         matrix, N=50
+    conditioning_family      seed + n                     matrix, N=1, 2, 3
+    projected_family         seed + 10, seed + 10 R + 20  disk, R=0.5, 1, 2
+    equivalence_family       seed + 40 + n, seed + 50 + n conditioned, N=2, 3;
+                             seed + 98                    uniform control
+    negative_control_family  seed + 99                    uniform control
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -23,15 +41,9 @@ from . import kernels, pipelines
 from .records import SampleSet
 from .specfun import log_regularized_lower_gamma
 
-__all__ = [
-    "CheckResult",
-    "ValidationReport",
-    "delta_n",
-    "kostlan_check",
-    "intensity_check",
-    "hole_and_count_check",
-    "run_validation_suite",
-]
+__all__ = ["CheckResult", "ValidationReport", "FAMILIES", "delta_n", "kostlan_check",
+           "intensity_check", "hole_and_count_check", "method_equivalence_check",
+           "run_validation_suite"]
 
 SCHEMA_VERSION = 1
 
@@ -48,14 +60,7 @@ class CheckResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "theoretical": self.theoretical,
-            "empirical": self.empirical,
-            "tolerance": self.tolerance,
-            "sample_size": self.sample_size,
-            "passed": bool(self.passed),
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 @dataclass
@@ -70,9 +75,6 @@ class ValidationReport:
 
     def failed_checks(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
 
     def to_json(self, indent: int | None = 2) -> str:
         payload = {
@@ -90,9 +92,22 @@ def _z_check(name: str, theoretical: float, empirical: float, sigma: float,
     z = abs(empirical - theoretical) / sigma if sigma > 0 else math.inf
     return CheckResult(
         name=name, theoretical=theoretical, empirical=empirical,
-        tolerance={"rule": "z-score", "limit": limit, "z": z, "sigma": sigma},
+        tolerance={"rule": "z-score", "limit": limit, "z": z, "sigma": sigma,
+                   "pvalue": math.erfc(z / math.sqrt(2.0))},
         sample_size=n, passed=z <= limit,
     )
+
+
+def _ks_check(name: str, pvalue: float, n: int) -> CheckResult:
+    return CheckResult(name=name, theoretical=1.0, empirical=pvalue,
+                       tolerance={"rule": "ks-pvalue", "level": KS_LEVEL},
+                       sample_size=n, passed=pvalue > KS_LEVEL)
+
+
+def _must_fail(name: str, probe: CheckResult, n: int, **detail) -> CheckResult:
+    failed = not probe.passed
+    return CheckResult(name=name, theoretical=1.0, empirical=float(failed),
+                       tolerance={"rule": "must-fail", **detail}, sample_size=n, passed=failed)
 
 
 def _rel_check(name: str, theoretical: float, empirical: float, rel: float,
@@ -144,44 +159,26 @@ def kostlan_max_cdf(n_rank: int):
 # sample-based checks
 
 
-def _matrix_rank(samples: list[SampleSet]) -> int:
-    ranks = {s.params.get("N") for s in samples}
-    if len(ranks) != 1:
-        raise ValueError(f"batch mixes ranks: {sorted(ranks)}")
-    return int(ranks.pop())
-
-
-def kostlan_check(samples: list[SampleSet], report: ValidationReport,
-                  label: str = "") -> None:
+def kostlan_check(points: np.ndarray, label: str = "") -> list[CheckResult]:
     """Mean/variance of sum |X_i|^2 against N(N+1)/2 (3 sigma) and KS of
-    max |X_i|^2 against its exact product CDF (level 0.01)."""
-    n = _matrix_rank(samples)
-    m = len(samples)
+    max |X_i|^2 against its exact product CDF (level 0.01), one value of
+    each per row of the (m, N) point array."""
+    m, n = points.shape
     k = n * (n + 1) / 2.0
-    sums = np.array([float(np.sum(np.abs(s.points) ** 2)) for s in samples])
-    maxes = np.array([float(np.max(np.abs(s.points) ** 2)) for s in samples])
-
-    report.add(_z_check(f"kostlan_mean{label}", k, float(sums.mean()),
-                        math.sqrt(k / m), m))
+    squares = np.abs(points) ** 2
+    sums = squares.sum(axis=1)
     mu4 = 3.0 * k * k + 6.0 * k
-    report.add(_z_check(f"kostlan_variance{label}", k, float(sums.var(ddof=1)),
-                        _sample_variance_sigma(mu4, k, m), m))
-    pvalue = float(scipy_stats.kstest(maxes, kostlan_max_cdf(n)).pvalue)
-    report.add(CheckResult(
-        name=f"kostlan_max_ks{label}", theoretical=1.0, empirical=pvalue,
-        tolerance={"rule": "ks-pvalue", "level": KS_LEVEL},
-        sample_size=m, passed=pvalue > KS_LEVEL,
-    ))
+    pvalue = float(scipy_stats.kstest(squares.max(axis=1), kostlan_max_cdf(n)).pvalue)
+    return [
+        _z_check(f"kostlan_mean{label}", k, float(sums.mean()), math.sqrt(k / m), m),
+        _z_check(f"kostlan_variance{label}", k, float(sums.var(ddof=1)),
+                 _sample_variance_sigma(mu4, k, m), m),
+        _ks_check(f"kostlan_max_ks{label}", pvalue, m),
+    ]
 
 
-def _radial_fractions(radii: np.ndarray, edges: np.ndarray, total: int) -> np.ndarray:
-    counts, _ = np.histogram(radii, bins=edges)
-    return counts / total
-
-
-def intensity_check(samples: list[SampleSet], report: ValidationReport,
-                    bins: int = 32, l1_limit: float = 0.03,
-                    label: str = "") -> None:
+def intensity_check(samples: list[SampleSet], bins: int = 32, l1_limit: float = 0.03,
+                    label: str = "") -> list[CheckResult]:
     """Radial histogram against the applicable closed-form intensity.
 
     matrix: rank-N radial intensity on [0, sqrt(N)+4];
@@ -197,7 +194,7 @@ def intensity_check(samples: list[SampleSet], report: ValidationReport,
         raise ValueError("batch mixes methods")
 
     if method == "matrix":
-        n = _matrix_rank(samples)
+        n = int(samples[0].params["N"])
         rmax = math.sqrt(n) + 4.0
         edges = np.linspace(0.0, rmax, bins + 1)
         radii = np.concatenate([s.radii() for s in samples])
@@ -220,7 +217,7 @@ def intensity_check(samples: list[SampleSet], report: ValidationReport,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    observed = _radial_fractions(radii, edges, total)
+    observed = np.histogram(radii, bins=edges)[0] / total
     expected = np.array([
         _quad_fraction(dens, edges[i], edges[i + 1]) for i in range(bins)
     ])
@@ -233,12 +230,12 @@ def intensity_check(samples: list[SampleSet], report: ValidationReport,
     noise_mean = float(np.sqrt(2.0 * var_bins / math.pi).sum())
     noise_sd = math.sqrt(float(var_bins.sum()) * (1.0 - 2.0 / math.pi))
     limit_eff = max(l1_limit, noise_mean + 3.0 * noise_sd)
-    report.add(CheckResult(
+    return [CheckResult(
         name=f"intensity_l1_{method}{label}", theoretical=0.0, empirical=l1,
         tolerance={"rule": "l1-absolute", "limit": limit_eff,
                    "stated_limit": l1_limit, "noise_mean": noise_mean},
         sample_size=len(samples), passed=l1 <= limit_eff,
-    ))
+    )]
 
 
 def _quad_fraction(dens, lo: float, hi: float, nodes: int = 64) -> float:
@@ -248,9 +245,10 @@ def _quad_fraction(dens, lo: float, hi: float, nodes: int = 64) -> float:
     return float(w @ dens(mid + half * x) * half)
 
 
-def hole_and_count_check(samples: list[SampleSet], radius: float,
-                         report: ValidationReport, label: str = "") -> None:
-    """Projected route: hole frequency, mean count, count variance.
+def hole_and_count_check(counts: np.ndarray, radius: float,
+                         label: str = "") -> list[CheckResult]:
+    """Projected route: hole frequency, mean count, count variance, from
+    the vector of per-draw point counts.
 
     The hole check is a 3-sigma z-test when the expected number of empty
     samples is large; in the rare-event regime (< 50 expected) the normal
@@ -259,107 +257,87 @@ def hole_and_count_check(samples: list[SampleSet], radius: float,
     """
     prof = kernels.spectrum_profile(radius)
     lam = prof.eigenvalues
-    m = len(samples)
-    counts = np.array([len(s) for s in samples], dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    m = len(counts)
 
     hole_p = math.exp(prof.log_hole_probability())
     hole_events = int(np.sum(counts == 0))
     if hole_p * m >= 50.0:
-        report.add(_z_check(f"hole_frequency{label}", hole_p,
-                            float(np.mean(counts == 0)),
-                            math.sqrt(hole_p * (1 - hole_p) / m), m))
+        hole = _z_check(f"hole_frequency{label}", hole_p, float(np.mean(counts == 0)),
+                        math.sqrt(hole_p * (1 - hole_p) / m), m)
     else:
         lam_poisson = hole_p * m
         lower = float(scipy_stats.poisson.cdf(hole_events, lam_poisson))
         upper = float(scipy_stats.poisson.sf(hole_events - 1, lam_poisson))
         pvalue = min(1.0, 2.0 * min(lower, upper))
-        report.add(CheckResult(
+        hole = CheckResult(
             name=f"hole_frequency{label}", theoretical=hole_p,
             empirical=hole_events / m,
             tolerance={"rule": "poisson-two-sided", "level": 1e-3,
                        "pvalue": pvalue, "expected_events": lam_poisson},
             sample_size=m, passed=pvalue > 1e-3,
-        ))
+        )
 
     mean_th = float(lam.sum())
     var_th = float((lam * (1 - lam)).sum())
-    report.add(_z_check(f"count_mean{label}", mean_th, float(counts.mean()),
-                        math.sqrt(var_th / m), m))
-
     mu4 = float((lam * (1 - lam) * (1 - 6 * lam * (1 - lam))).sum()) + 3 * var_th ** 2
-    report.add(_z_check(f"count_variance{label}", var_th, float(counts.var(ddof=1)),
-                        _sample_variance_sigma(mu4, var_th, m), m, limit=4.0))
+    return [
+        hole,
+        _z_check(f"count_mean{label}", mean_th, float(counts.mean()),
+                 math.sqrt(var_th / m), m),
+        _z_check(f"count_variance{label}", var_th, float(counts.var(ddof=1)),
+                 _sample_variance_sigma(mu4, var_th, m), m, limit=4.0),
+    ]
 
 
-def outside_disk_check(samples: list[SampleSet], report: ValidationReport,
-                       label: str = "") -> None:
+def outside_disk_check(points: np.ndarray, label: str = "") -> list[CheckResult]:
     """Mean number of matrix-route points beyond B_sqrt(N) vs delta(N)."""
-    n = _matrix_rank(samples)
-    m = len(samples)
+    m, n = points.shape
     root_n = math.sqrt(n)
-    outside = np.array([float(np.sum(s.radii() > root_n)) for s in samples])
+    outside = (np.abs(points) > root_n).sum(axis=1)
     q = np.exp(kernels.spectrum_profile(root_n, rank=n).log_one_minus)
     sigma = math.sqrt(float((q * (1 - q)).sum()) / m)
-    report.add(_z_check(f"outside_mean_delta{label}", delta_n(n),
-                        float(outside.mean()), sigma, m))
+    return [_z_check(f"outside_mean_delta{label}", delta_n(n), float(outside.mean()), sigma, m)]
 
 
-def conditioning_probability_check(samples: list[SampleSet],
-                                   report: ValidationReport,
-                                   label: str = "") -> None:
+def conditioning_probability_check(points: np.ndarray, label: str = "") -> list[CheckResult]:
     """Frequency of all matrix-route points inside B_sqrt(N)."""
-    n = _matrix_rank(samples)
-    m = len(samples)
-    root_n = math.sqrt(n)
-    inside = np.array([bool(np.all(s.radii() <= root_n)) for s in samples])
+    m, n = points.shape
+    inside = np.all(np.abs(points) <= math.sqrt(n), axis=1)
     p = pipelines.acceptance_probability_all_in_disk(n)
-    report.add(_z_check(f"conditioning_probability_n{n}{label}", p,
-                        float(inside.mean()), math.sqrt(p * (1 - p) / m), m))
+    return [_z_check(f"conditioning_probability_n{n}{label}", p, float(inside.mean()),
+                     math.sqrt(p * (1 - p) / m), m)]
 
 
-def _nearest_neighbor_distances(samples: list[SampleSet]) -> np.ndarray:
-    out = []
-    for s in samples:
-        pts = s.points
-        if len(pts) < 2:
-            continue
-        d = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        out.append(d.min(axis=1))
-    return np.concatenate(out) if out else np.empty(0)
+def _min_pair_distance(points: np.ndarray) -> np.ndarray:
+    i, j = np.triu_indices(points.shape[1], 1)
+    return np.abs(points[:, i] - points[:, j]).min(axis=1)
 
 
-def method_equivalence_check(reference: list[SampleSet],
-                             candidate: list[SampleSet],
-                             report: ValidationReport, label: str = "") -> None:
-    """Two-sample KS on radii and nearest-neighbor distances."""
-    for name, extract in (
-        ("radius", lambda batch: np.concatenate([s.radii() for s in batch])),
-        ("nearest_neighbor", _nearest_neighbor_distances),
-    ):
-        a = extract(reference)
-        b = extract(candidate)
-        pvalue = float(scipy_stats.ks_2samp(a, b).pvalue)
-        report.add(CheckResult(
-            name=f"equivalence_{name}{label}", theoretical=1.0, empirical=pvalue,
-            tolerance={"rule": "ks-pvalue", "level": KS_LEVEL},
-            sample_size=len(a) + len(b), passed=pvalue > KS_LEVEL,
-        ))
+def method_equivalence_check(reference: np.ndarray, candidate: np.ndarray,
+                             label: str = "") -> list[CheckResult]:
+    """Two-sample KS between (m, N) point arrays, N >= 2: on all radii, and
+    on each draw's minimum pair distance (one value per draw)."""
+    results = []
+    for name, extract in (("radius", lambda p: np.abs(p).ravel()),
+                          ("min_pair_distance", _min_pair_distance)):
+        a, b = extract(reference), extract(candidate)
+        results.append(_ks_check(f"equivalence_{name}{label}",
+                                 float(scipy_stats.ks_2samp(a, b).pvalue), len(a) + len(b)))
+    return results
 
 
 # ---------------------------------------------------------------------------
 # deterministic closed-form checks
 
 
-def trace_identity_checks(report: ValidationReport,
-                          radii=(0.5, 1.0, 3.0, 10.0)) -> None:
-    for rad in radii:
-        prof = kernels.spectrum_profile(rad)
-        report.add(_rel_check(f"trace_identity_r{rad}", rad * rad, prof.trace, 1e-8))
+def trace_identity_checks(radii=(0.5, 1.0, 3.0, 10.0)) -> list[CheckResult]:
+    return [_rel_check(f"trace_identity_r{rad}", rad * rad,
+                       kernels.spectrum_profile(rad).trace, 1e-8) for rad in radii]
 
 
-def circular_law_bound_checks(report: ValidationReport, n_rank: int = 600,
-                              offsets=(0.2, 0.4, 0.6, 0.8, 1.0)) -> None:
+def circular_law_bound_checks(n_rank: int = 600,
+                              offsets=(0.2, 0.4, 0.6, 0.8, 1.0)) -> list[CheckResult]:
     """rho_1^N between the asymptotic falloff brackets near sqrt(N)."""
     root_n = math.sqrt(n_rank)
     worst = 0.0
@@ -368,59 +346,126 @@ def circular_law_bound_checks(report: ValidationReport, n_rank: int = 600,
         inside = kernels.radial_intensity(n_rank, root_n - u)
         outside = kernels.radial_intensity(n_rank, root_n + u)
         worst = max(worst, (1 / math.pi - g) - inside, outside - g)
-    report.add(CheckResult(
+    return [CheckResult(
         name=f"circular_law_bounds_n{n_rank}", theoretical=0.0, empirical=worst,
         tolerance={"rule": "absolute", "limit": 1e-12},
         sample_size=0, passed=worst <= 1e-12,
-    ))
+    )]
 
 
-def delta_asymptotic_checks(report: ValidationReport,
-                            ranks=(100, 400, 900)) -> None:
+def delta_asymptotic_checks(ranks=(100, 400, 900)) -> list[CheckResult]:
     """delta(N) ~ sqrt(N / 2 pi): bracket at the largest rank, monotone
     approach of the ratio across the given ranks."""
     ratios = [delta_n(n) / math.sqrt(n / (2 * math.pi)) for n in ranks]
     final = ratios[-1]
-    report.add(CheckResult(
-        name=f"delta_ratio_n{ranks[-1]}", theoretical=1.0, empirical=final,
-        tolerance={"rule": "bracket", "low": 0.9, "high": 1.1},
-        sample_size=0, passed=0.9 <= final <= 1.1,
-    ))
     gaps = [abs(r - 1.0) for r in ratios]
     monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    report.add(CheckResult(
-        name="delta_ratio_monotone", theoretical=0.0,
-        empirical=float(gaps[-1]),
-        tolerance={"rule": "monotone-decreasing", "gaps": gaps},
-        sample_size=0, passed=monotone,
-    ))
-
-
-def negative_control_kostlan(report: ValidationReport, seed: int,
-                             n_rank: int = 50, m: int = 2000) -> None:
-    """Uniform disk points of matched mean radius must fail the Kostlan
-    mean test; passing here means the positive test has teeth."""
-    rng = np.random.default_rng(seed)
-    root_n = math.sqrt(n_rank)
-    fake = []
-    for i in range(m):
-        r = root_n * np.sqrt(rng.random(n_rank))
-        th = rng.uniform(-math.pi, math.pi, n_rank)
-        fake.append(SampleSet(points=r * np.exp(1j * th), method="matrix",
-                              params={"N": n_rank}, seed=-1))
-    probe = ValidationReport(seed=seed)
-    kostlan_check(fake, probe)
-    mean_failed = not probe.checks[0].passed
-    report.add(CheckResult(
-        name="negative_control_uniform_fails_kostlan", theoretical=1.0,
-        empirical=float(mean_failed),
-        tolerance={"rule": "must-fail", "probe_z": probe.checks[0].tolerance["z"]},
-        sample_size=m, passed=mean_failed,
-    ))
+    return [
+        CheckResult(
+            name=f"delta_ratio_n{ranks[-1]}", theoretical=1.0, empirical=final,
+            tolerance={"rule": "bracket", "low": 0.9, "high": 1.1},
+            sample_size=0, passed=0.9 <= final <= 1.1,
+        ),
+        CheckResult(
+            name="delta_ratio_monotone", theoretical=0.0, empirical=float(gaps[-1]),
+            tolerance={"rule": "monotone-decreasing", "gaps": gaps},
+            sample_size=0, passed=monotone,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# suite driver
+# negative controls: a wrong law that must fail
+
+
+def _uniform_disk(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """(m, n) uniform points on B_sqrt(n); per draw, n radius uniforms
+    then n angle uniforms."""
+    u = rng.random((m, 2, n))
+    return math.sqrt(n) * np.sqrt(u[:, 0]) * np.exp(1j * (-math.pi + 2 * math.pi * u[:, 1]))
+
+
+def negative_control_kostlan(seed: int, n_rank: int = 50,
+                             m: int = 2000) -> list[CheckResult]:
+    """Uniform disk points of matched mean radius must fail the Kostlan
+    mean test; passing here means the positive test has teeth."""
+    mean = kostlan_check(_uniform_disk(np.random.default_rng(seed), m, n_rank))[0]
+    return [_must_fail("negative_control_uniform_fails_kostlan", mean, m,
+                       probe_z=mean.tolerance["z"])]
+
+
+def negative_control_equivalence(reference: np.ndarray, seed: int) -> list[CheckResult]:
+    """Uniform points on B_sqrt(N) must fail the minimum-pair-distance KS
+    against the (m, N) conditioned reference."""
+    m, n = reference.shape
+    min_pair = method_equivalence_check(
+        reference, _uniform_disk(np.random.default_rng(seed), m, n))[1]
+    return [_must_fail("negative_control_uniform_fails_equivalence", min_pair,
+                       min_pair.sample_size, probe_pvalue=min_pair.empirical)]
+
+
+# ---------------------------------------------------------------------------
+# suite: families in report order
+
+
+def _sized(base: int, scale: float) -> int:
+    return max(1000, int(base * scale))
+
+
+def _points(batch: list[SampleSet]) -> np.ndarray:
+    return np.stack([s.points for s in batch])
+
+
+def closed_form_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    return trace_identity_checks() + circular_law_bound_checks() + delta_asymptotic_checks()
+
+
+def kostlan_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    batch = pipelines.sample_matrix_batch(50, seed=seed, count=_sized(10_000, scale),
+                                          workers=workers, entry_scale=entry_scale)
+    points = _points(batch)
+    return (kostlan_check(points, label="_n50") + intensity_check(batch, label="_n50")
+            + outside_disk_check(points, label="_n50"))
+
+
+def conditioning_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    results = []
+    for n in (1, 2, 3):
+        batch = pipelines.sample_matrix_batch(n, seed=seed + n, count=_sized(10_000, scale),
+                                              workers=workers, entry_scale=entry_scale)
+        results += conditioning_probability_check(_points(batch))
+    return results
+
+
+def projected_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    results = []
+    for rad in (0.5, 1.0, 2.0):
+        stream, base = (seed + 10, 100_000) if rad == 0.5 else (seed + int(10 * rad) + 20, 10_000)
+        batch = pipelines.GinibreDiskSampler(rad).sample_batch(
+            stream, _sized(base, scale), workers=workers)
+        results += hole_and_count_check([len(s) for s in batch], rad, label=f"_r{rad}")
+    return results + intensity_check(batch, label="_r2")
+
+
+def equivalence_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    m = _sized(10_000, scale)
+    results = []
+    for n in (2, 3):
+        # the rejection oracle shares one stream, so it runs serially
+        rng = np.random.default_rng(np.random.SeedSequence(seed + 40 + n))
+        reference = _points([pipelines.conditioned_by_rejection(n, rng) for _ in range(m)])
+        candidate = _points(pipelines.ConditionedSampler(n).sample_batch(
+            seed + 50 + n, m, workers=workers))
+        results += method_equivalence_check(reference, candidate, label=f"_n{n}")
+    return results + negative_control_equivalence(reference, seed + 98)
+
+
+def negative_control_family(seed, scale, workers, entry_scale) -> list[CheckResult]:
+    return negative_control_kostlan(seed + 99)
+
+
+FAMILIES = (closed_form_family, kostlan_family, conditioning_family,
+            projected_family, equivalence_family, negative_control_family)
 
 
 def run_validation_suite(seed: int, scale: float = 1.0, workers: int = 1,
@@ -431,50 +476,5 @@ def run_validation_suite(seed: int, scale: float = 1.0, workers: int = 1,
     for negative-control demonstrations) and is expected to fail.
     """
     t0 = time.perf_counter()
-    report = ValidationReport(seed=seed)
-
-    trace_identity_checks(report)
-    circular_law_bound_checks(report)
-    delta_asymptotic_checks(report)
-
-    def sized(base: int) -> int:
-        return max(1000, int(base * scale))
-
-    # matrix route at N=50: kostlan moments + KS, intensity, delta(N)
-    m_kostlan = sized(10_000)
-    batch = pipelines.sample_matrix_batch(50, seed=seed, count=m_kostlan,
-                                          workers=workers, entry_scale=entry_scale)
-    kostlan_check(batch, report, label="_n50")
-    intensity_check(batch, report, label="_n50")
-    outside_disk_check(batch, report, label="_n50")
-
-    # conditioning probabilities at N = 1, 2, 3
-    for n in (1, 2, 3):
-        cond = pipelines.sample_matrix_batch(n, seed=seed + n, count=sized(10_000),
-                                             workers=workers, entry_scale=entry_scale)
-        conditioning_probability_check(cond, report)
-
-    # projected route: hole probability at R=0.5, count law at R in {1, 2}
-    hole_sampler = pipelines.GinibreDiskSampler(0.5)
-    hole_batch = hole_sampler.sample_batch(seed + 10, sized(100_000), workers=workers)
-    hole_and_count_check(hole_batch, 0.5, report, label="_r0.5")
-    for rad in (1.0, 2.0):
-        sampler = pipelines.GinibreDiskSampler(rad)
-        batch_r = sampler.sample_batch(seed + int(10 * rad) + 20, sized(10_000),
-                                       workers=workers)
-        hole_and_count_check(batch_r, rad, report, label=f"_r{rad}")
-    intensity_check(batch_r, report, label="_r2")
-
-    # method equivalence at N in {2, 3}
-    m_eq = sized(10_000)
-    for n in (2, 3):
-        rng = np.random.default_rng(np.random.SeedSequence(seed + 40 + n))
-        reference = [pipelines.conditioned_by_rejection(n, rng) for _ in range(m_eq)]
-        sampler = pipelines.ConditionedSampler(n)
-        candidate = sampler.sample_batch(seed + 50 + n, m_eq, workers=workers)
-        method_equivalence_check(reference, candidate, report, label=f"_n{n}")
-
-    negative_control_kostlan(report, seed + 99)
-
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    checks = [c for family in FAMILIES for c in family(seed, scale, workers, entry_scale)]
+    return ValidationReport(seed=seed, checks=checks, runtime_seconds=time.perf_counter() - t0)

@@ -139,14 +139,13 @@ def test_criterion_08_method_equivalence():
     details = []
     for n in (2, 3):
         rng = stream_rng(SEED + 8000 + n, 0)
-        reference = [pipelines.conditioned_by_rejection(n, rng)
-                     for _ in range(10_000)]
-        candidate = pipelines.ConditionedSampler(n).sample_batch(
-            SEED + 8500 + n, 10_000, workers=WORKERS)
-        rep = validation.ValidationReport(seed=SEED)
-        validation.method_equivalence_check(reference, candidate, rep)
-        pvals = {c.name: c.empirical for c in rep.checks}
-        all_ok &= rep.passed
+        reference = np.stack([pipelines.conditioned_by_rejection(n, rng).points
+                              for _ in range(10_000)])
+        candidate = np.stack([s.points for s in pipelines.ConditionedSampler(n).sample_batch(
+            SEED + 8500 + n, 10_000, workers=WORKERS)])
+        checks = validation.method_equivalence_check(reference, candidate)
+        pvals = {c.name: c.empirical for c in checks}
+        all_ok &= all(c.passed for c in checks)
         details.append(f"N={n}: " + ", ".join(
             f"{k.split('_', 1)[1]} p={v:.3f}" for k, v in pvals.items()))
     report(8, "method equivalence (KS @ 0.01)", all_ok, "; ".join(details))
