@@ -43,6 +43,10 @@ _HARD_FLOOR = 1e-9
 # A proposal block's feature matrix holds at most about this many entries.
 _BLOCK_ELEMENTS = 1 << 16
 
+# Radii per refinement of the sup envelope's bracket: each call narrows it
+# 16-fold.
+_REFINE_POINTS = 33
+
 
 class OrthogonalityError(RuntimeError):
     """Conditional density went negative beyond rounding tolerance."""
@@ -105,33 +109,21 @@ class OrthoState:
 def sup_feature_norm_sq(basis: BasisSubset, grid: int = 256) -> float:
     """sup_z ||v(z)||^2 over the basis disk.
 
-    ||v||^2 is radial for these bases; a dense radial grid brackets the
-    maximum and golden-section search refines it.
+    ||v||^2 is radial for these bases. A dense radial grid brackets the
+    maximum; the bracket around the best point is then refined with
+    _REFINE_POINTS evenly spaced radii per evaluation until it is
+    narrower than 1e-9 R. Returns the largest value evaluated.
     """
     radii = np.linspace(0.0, basis.radius, grid)
-    vals = _feature_norm_sq_radial(basis, radii)
-    k = int(np.argmax(vals))
-    lo = radii[max(k - 1, 0)]
-    hi = radii[min(k + 1, grid - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = _feature_norm_sq_radial(basis, np.array([c]))[0]
-    fd = _feature_norm_sq_radial(basis, np.array([d]))[0]
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _feature_norm_sq_radial(basis, np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _feature_norm_sq_radial(basis, np.array([d]))[0]
-        if b - a < 1e-12 * basis.radius:
-            break
-    best = max(float(vals[k]), fc, fd)
-    return best
+    best = 0.0
+    while True:
+        vals = _feature_norm_sq_radial(basis, radii)
+        k = int(np.argmax(vals))
+        best = max(best, float(vals[k]))
+        lo, hi = radii[max(k - 1, 0)], radii[min(k + 1, len(radii) - 1)]
+        if hi - lo < 1e-9 * basis.radius:
+            return best
+        radii = np.linspace(lo, hi, _REFINE_POINTS)
 
 
 def _feature_norm_sq_radial(basis: BasisSubset, radii: np.ndarray) -> np.ndarray:

@@ -13,11 +13,14 @@ rank=N) that of the rank-N kernel (the Janossy oracle, and at R =
 sqrt(N) the conditioned route and the closed forms). A BasisSubset is an
 index set of a profile.
 
-All eigenfunction arithmetic is done as (log magnitude, phase): the raw
-monomials z^n / sqrt(n!) overflow doubles near n ~ 150, while their
-normalized combinations are tame. Linear values only materialize as the
-last step of feature_vector, and every kernel series (truncated,
-conditioned, and the deviation bound) is a sum over feature_vector.
+Eigenvalues and norms stay in log space: the norms gamma(n+1, R^2) =
+lambda_n n! overflow doubles from n = 171 on large disks. The
+eigenfunctions psi_n(z) = c_n z^n e^{-|z|^2/2} themselves are tame, and
+feature_vector evaluates them by the recurrence psi_n = psi_{n-1} z c_n /
+c_{n-1}, one multiply per entry, from a table each BasisSubset builds
+once from its profile. Only the first row of each recurrence block is
+taken from its log value. Every kernel series (truncated, conditioned,
+and the deviation bound) is a sum over feature_vector.
 """
 
 from __future__ import annotations
@@ -56,6 +59,16 @@ _LOG_PI = math.log(math.pi)
 
 # Eigenvalues below this are dropped from tail accumulation entirely.
 _TAIL_CUTOFF_LOG = math.log(1e-40)
+
+# psi_0(z) = c_0 e^{-|z|^2/2} is a normal double while |z|^2 < ~1400. Bases
+# with R^2 >= _RESTART_R2, half that, restart the eigenfunction recurrence
+# every _RESTART_ROWS rows; smaller ones run it in one block.
+_RESTART_R2 = 700.0
+_RESTART_ROWS = 64
+
+# ln z at z = 0 is taken at this floor: exp(n ln(_TINY)) underflows to 0 for
+# every restart row n >= _RESTART_ROWS, and row 0 multiplies it by 0.
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +147,23 @@ def spectrum_profile(radius: float, epsilon: float = 1e-12,
 class BasisSubset:
     """An ordered set of disk-orthonormal eigenfunctions.
 
-    Index n maps to the L2-normalized function z^n e^{-|z|^2/2} /
-    sqrt(pi gamma(n+1, R^2)) on the disk of the profile's radius R. The
-    norms ln gamma(n+1, R^2) = ln lambda_n + ln n! are read from the
-    profile, so every index must lie in its table.
+    Index n maps to the L2-normalized function psi_n(z) = c_n z^n
+    e^{-|z|^2/2} on the disk of the profile's radius R, with c_n = (pi
+    gamma(n+1, R^2))^{-1/2}. The norms ln gamma(n+1, R^2) = ln lambda_n +
+    ln n! are read from the profile, so every index must lie in its table.
+
+    The recurrence table of feature_vector covers rows 0..max(indices) in
+    blocks of equal length: _steps[b, k] is c_n / c_{n-1} for row n = b *
+    block + k (0 past the last row), and _start_rows / _start_logs hold
+    each block's first row n and ln c_n, one row per block.
     """
 
     profile: SpectrumProfile
     indices: tuple[int, ...]
-    _norm_logs: np.ndarray = field(init=False, repr=False, compare=False)
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _start_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _start_logs: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.profile.radius <= 0.0:
@@ -150,8 +171,18 @@ class BasisSubset:
         idx = np.array(self.indices, dtype=np.int64)
         if np.any((idx < 0) | (idx >= self.profile.count)):
             raise ValueError(f"indices must lie in 0..{self.profile.count - 1}")
-        norm_logs = self.profile.log_eigenvalues[idx] + log_factorial(idx)
-        object.__setattr__(self, "_norm_logs", norm_logs)
+        rows = int(idx.max(initial=0)) + 1
+        block = _RESTART_ROWS if self.profile.radius ** 2 >= _RESTART_R2 else rows
+        blocks = -(-rows // block)
+        n = np.arange(rows)
+        log_coeffs = -0.5 * (_LOG_PI + self.profile.log_eigenvalues[:rows] + log_factorial(n))
+        steps = np.zeros(blocks * block)
+        steps[1:rows] = np.exp(np.diff(log_coeffs))
+        starts = n[::block]
+        object.__setattr__(self, "_steps", steps.reshape(blocks, block))
+        object.__setattr__(self, "_start_rows", starts[:, None].astype(float))
+        object.__setattr__(self, "_start_logs", log_coeffs[starts][:, None])
+        object.__setattr__(self, "_rows", idx)
 
     @property
     def radius(self) -> float:
@@ -160,10 +191,6 @@ class BasisSubset:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def log_gamma_norms(self) -> np.ndarray:
-        """log gamma(i+1, R^2) for each member index i."""
-        return self._norm_logs
 
 
 def conditioned_basis(n_points: int) -> BasisSubset:
@@ -181,26 +208,28 @@ def conditioned_basis(n_points: int) -> BasisSubset:
 def feature_vector(basis: BasisSubset, z) -> np.ndarray:
     """(psi_i(z))_{i in basis}; the zero vector outside the basis disk.
 
-    psi_i is the disk eigenfunction z^i e^{-|z|^2/2} / sqrt(pi gamma(i+1,
-    R^2)), evaluated in log space and exponentiated last. Accepts a scalar or an array of points; the indexed axis is last for
+    psi_n(z) = c_n z^n e^{-|z|^2/2} by the recurrence psi_n = psi_{n-1} z
+    c_n / c_{n-1}: one cumprod over rows 0..max(indices), then the member
+    rows. Each block of rows starts from its first value in log space
+    (ln c_n + n ln|z| - |z|^2/2), so products restart before they
+    underflow on bases with R^2 >= _RESTART_R2; smaller bases are one
+    block. The block length depends on the basis only, so every point
+    gets the same sequence of multiplies however many share a call.
+    Accepts a scalar or an array of points; the indexed axis is last for
     scalars (shape (n,)) and first-from-last for arrays (shape (n, m)).
     """
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
+    zs = zs.reshape(-1)
     absz = np.abs(zs)
     inside = absz <= basis.radius * (1.0 + 1e-12)
-    idx = np.array(basis.indices)[:, None]
-    logmag = np.where(
-        absz[None, :] > 0.0,
-        idx * np.log(np.where(absz > 0.0, absz, 1.0))[None, :],
-        np.where(idx == 0, 0.0, -np.inf),
-    )
-    logmag = logmag - 0.5 * absz[None, :] ** 2
-    logmag = logmag - 0.5 * (_LOG_PI + basis.log_gamma_norms())[:, None]
-    angles = idx * np.angle(zs)[None, :]
-    out = np.exp(logmag) * np.exp(1j * angles)
-    out = np.where(inside[None, :], out, 0.0)
+    logs = basis._start_logs - 0.5 * absz * absz
+    if len(logs) > 1:  # n ln z is 0 on one block, where it would cost a third of a small call
+        logs = logs + basis._start_rows * np.log(np.where(zs != 0.0, zs, _TINY))
+    table = basis._steps[:, :, None] * zs
+    table[:, 0] = np.exp(np.where(inside, logs, -np.inf))
+    table.cumprod(axis=1, out=table)
+    out = table.reshape(-1, zs.size)[basis._rows]
     return out[:, 0] if scalar else out
 
 

@@ -115,6 +115,28 @@ class TestEnvelope:
         assert sup == pytest.approx(dense, rel=1e-6)
         assert hkpv.envelope_bound(state, sup) == pytest.approx(dense / 2, rel=1e-6)
 
+    @staticmethod
+    def dense_radial_max(basis):
+        v = hkpv.feature_vector(basis, np.linspace(0, basis.radius, 20001).astype(complex))
+        return float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+    def test_dominates_dense_grid_thinned(self, radius):
+        # Bernoulli-thinned bases, as the projected sampler draws them
+        prof = spectrum_profile(radius)
+        rng = np.random.default_rng(int(100 * radius))
+        for _ in range(5):
+            keep = np.flatnonzero(rng.random(prof.count) < prof.eigenvalues)
+            if keep.size == 0:
+                continue
+            basis = BasisSubset(prof, tuple(int(i) for i in keep))
+            assert hkpv.sup_feature_norm_sq(basis) >= (1 - 1e-12) * self.dense_radial_max(basis)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 100])
+    def test_dominates_dense_grid_conditioned(self, n):
+        basis = conditioned_basis(n)
+        assert hkpv.sup_feature_norm_sq(basis) >= (1 - 1e-12) * self.dense_radial_max(basis)
+
     def test_bounds_density_throughout_run(self):
         n = 20
         basis = conditioned_basis(n)

@@ -19,6 +19,35 @@ def disk_basis(radius, indices):
     return kernels.BasisSubset(kernels.spectrum_profile(radius, rank=max(indices) + 1), indices)
 
 
+def plane_basis(n_rank):
+    # the R = inf basis of truncated_kernel
+    prof = kernels.SpectrumProfile(
+        radius=math.inf, epsilon=0.0, eigenvalues=np.ones(n_rank),
+        log_eigenvalues=np.zeros(n_rank), log_one_minus=np.full(n_rank, -np.inf),
+        tail_log=0.0, trace=float(n_rank))
+    return kernels.BasisSubset(prof, tuple(range(n_rank)))
+
+
+def log_space_feature_vector(basis, z):
+    """Reference: each entry exp(n ln|z| - |z|^2/2 - (ln pi + ln gamma(n+1, R^2)) / 2)
+    times e^{i n arg z}, as feature_vector computed it before the recurrence."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    absz = np.abs(zs)
+    inside = absz <= basis.radius * (1.0 + 1e-12)
+    idx = np.array(basis.indices)[:, None]
+    norm_logs = basis.profile.log_eigenvalues[idx[:, 0]] + log_factorial(idx[:, 0])
+    logmag = np.where(
+        absz[None, :] > 0.0,
+        idx * np.log(np.where(absz > 0.0, absz, 1.0))[None, :],
+        np.where(idx == 0, 0.0, -np.inf),
+    )
+    logmag = logmag - 0.5 * absz[None, :] ** 2
+    logmag = logmag - 0.5 * (math.log(math.pi) + norm_logs)[:, None]
+    out = np.exp(logmag) * np.exp(1j * idx * np.angle(zs)[None, :])
+    out = np.where(inside[None, :], out, 0.0)
+    return out[:, 0] if np.ndim(z) == 0 else out
+
+
 def random_disk_points(rng, count, radius):
     pts = []
     while len(pts) < count:
@@ -136,6 +165,79 @@ class TestProjectedEigenfunction:
         assert math.log(abs(value)) == pytest.approx(float(ref), abs=1e-8)
 
 
+class TestRecurrence:
+    """feature_vector (one cumprod, restarted every 64 rows from R^2 >= 700)
+    against the log-space formula, on full profiles and on thinned bases."""
+
+    @staticmethod
+    def bases(radius):
+        if math.isinf(radius):
+            return [plane_basis(300)]
+        prof = kernels.spectrum_profile(radius)
+        rng = np.random.default_rng(int(10 * radius))
+        thinned = tuple(int(i) for i in np.flatnonzero(rng.random(prof.count) < 0.5))
+        return [kernels.BasisSubset(prof, tuple(range(prof.count))),
+                kernels.BasisSubset(prof, thinned)]
+
+    @staticmethod
+    def points(radius):
+        r = 20.0 if math.isinf(radius) else radius
+        rng = np.random.default_rng(7)
+        inner = r * np.sqrt(rng.random(200)) * np.exp(2j * math.pi * rng.random(200))
+        edge = r * np.exp(2j * math.pi * np.arange(8) / 8)
+        return np.concatenate([[0.0, 1e-300, -r, 1j * r, 1.01 * r, -2.0j * r], edge, inner])
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0, 10.0, 30.0, 45.0, math.inf])
+    def test_matches_log_space_formula(self, radius):
+        z = self.points(radius)
+        for basis in self.bases(radius):
+            new = kernels.feature_vector(basis, z)
+            ref = log_space_feature_vector(basis, z)
+            assert new.shape == ref.shape == (basis.size, z.size)
+            # both sides round in proportion to the row count and, in log
+            # space, to |z|^2 / 2 and n |ln z|: 1.1e-13 at R = 10, 2.7e-12 at R = 45
+            colmax = np.abs(ref).max(axis=0)
+            tol = (1e-12 if basis.radius ** 2 < 700 else 1e-11) * colmax
+            assert np.all(np.abs(new - ref) <= tol)
+
+    @pytest.mark.parametrize("radius", [0.5, 10.0, 45.0, math.inf])
+    def test_origin_and_outside(self, radius):
+        z = self.points(radius)
+        for basis in self.bases(radius):
+            v = kernels.feature_vector(basis, z)
+            origin = v[:, 0]
+            assert np.all(origin[np.array(basis.indices) > 0] == 0.0)
+            if basis.indices[0] == 0:
+                assert origin[0] == pytest.approx(log_space_feature_vector(basis, 0.0)[0],
+                                                  rel=1e-15)
+            if not math.isinf(radius):
+                assert np.all(v[:, 4:6] == 0.0)
+
+    @pytest.mark.parametrize("radius", [45.0, math.inf])
+    def test_rows_past_restarts(self, radius):
+        # rows on both sides of the restarts at 64, 128, ..., at the radius where
+        # they peak, so the values are far from underflow
+        basis = self.bases(radius)[0]
+        rows = [n for n in (63, 64, 65, 127, 128, 129, 255, 256, 1023, 1024, 1983, 1984)
+                if n <= max(basis.indices) and n < basis.radius ** 2]
+        for n in rows:
+            z = math.sqrt(n) * np.exp(1j * np.array([0.3, 2.0, -1.2]))
+            new = kernels.feature_vector(basis, z)[n]
+            ref = log_space_feature_vector(basis, z)[n]
+            np.testing.assert_allclose(new, ref, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("radius", [5.0, 45.0, math.inf])
+    def test_scalar_and_array_shapes(self, radius):
+        z = self.points(radius)[:20]
+        for basis in self.bases(radius):
+            grid = kernels.feature_vector(basis, z)
+            assert grid.shape == (basis.size, z.size)
+            for k, point in enumerate(z):
+                one = kernels.feature_vector(basis, complex(point))
+                assert one.shape == (basis.size,)
+                assert one.tobytes() == grid[:, k].tobytes()
+
+
 class TestConditionedKernel:
     def test_rank_one_origin(self):
         expected = 1.0 / (math.pi * (1.0 - 1.0 / math.e))
@@ -190,6 +292,17 @@ class TestConditionedKernel:
         assert grid.shape == (5, 5)
         assert grid.tobytes() == pointwise.tobytes()
         assert np.all(grid[-1] == 0.0) and np.all(grid[:, -1] == 0.0)
+
+    def test_array_form_matches_pointwise_with_restarts(self):
+        # R^2 = 900: the recurrence restarts every 64 rows
+        z = np.array([0.0, 3.0 + 4.0j, -21.0j, 29.9, 30.5 + 0.1j])  # last one outside
+        grid = kernels.conditioned_kernel(900, z[:, None], z[None, :])
+        pointwise = np.array([[kernels.conditioned_kernel(900, a, b) for b in z] for a in z])
+        assert grid.tobytes() == pointwise.tobytes()
+        assert np.all(grid[-1] == 0.0) and np.all(grid[:, -1] == 0.0)
+        ref = log_space_feature_vector(kernels.conditioned_basis(900), z)
+        np.testing.assert_allclose(np.diag(grid).real, np.sum(np.abs(ref) ** 2, axis=0),
+                                   rtol=1e-11)
 
 
 class TestRadialIntensity:

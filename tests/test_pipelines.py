@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ginibre import hkpv, pipelines
+from ginibre import hkpv, kernels, pipelines
 from ginibre.hkpv import RejectionCapError
 from ginibre.kernels import spectrum_profile
 from ginibre.specfun import log_factorial, log_regularized_lower_gamma
@@ -34,19 +34,30 @@ class TestDiskRoute:
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 5.0])
     def test_basis_norms_are_per_index_gamma(self, radius, monkeypatch):
-        # each draw's basis reads its norms from the sampler's profile; they
-        # equal ln gamma(i+1, R^2) = ln P(i+1, R^2) + ln i! bit for bit
+        # each draw's basis builds its recurrence table from the sampler's
+        # profile, with no incomplete-gamma call per draw. The block start
+        # holds ln c_0 and the steps c_n / c_{n-1}, c_n = (pi gamma(n+1, R^2))^{-1/2}
+        # with ln gamma(n+1, R^2) = ln P(n+1, R^2) + ln n!, bit for bit
         bases = []
+        sampler = pipelines.GinibreDiskSampler(radius)
+
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("incomplete gamma evaluated for a draw's basis")
+
+        monkeypatch.setattr(kernels, "log_regularized_lower_gamma", no_gamma)
+        monkeypatch.setattr(kernels, "log_regularized_upper_gamma", no_gamma)
         monkeypatch.setattr(hkpv, "sample_projection_dpp",
                             lambda basis, rng, **kw: bases.append(basis) or np.empty(0))
-        sampler = pipelines.GinibreDiskSampler(radius)
         for i in range(200):
             sampler.sample(stream_rng(13, i))
         assert bases
         for basis in bases:
-            idx = np.array(basis.indices)
-            expected = log_regularized_lower_gamma(idx + 1, radius * radius) + log_factorial(idx)
-            assert np.array_equal(basis.log_gamma_norms(), expected)
+            n = np.arange(max(basis.indices) + 1)
+            log_lam = log_regularized_lower_gamma(n + 1, radius * radius)
+            log_coeffs = -0.5 * (math.log(math.pi) + log_lam + log_factorial(n))
+            assert basis._steps.shape == (1, n.size)  # R^2 < 700: one block, no restart
+            assert np.array_equal(basis._start_logs, log_coeffs[:1, None])
+            assert np.array_equal(basis._steps[0, 1:], np.exp(np.diff(log_coeffs)))
 
     def test_seed_determinism(self):
         a = pipelines.sample_ginibre_on_disk(1.5, seed=77)
