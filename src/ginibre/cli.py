@@ -4,12 +4,13 @@ Outputs are plain CSV/JSON intended for external plotting. Every command
 is deterministic under a fixed --seed: sample i of a batch always draws
 from the derived stream (seed, i), results are merged in sample order,
 and floats are serialized with 17 significant digits, so output bytes do
-not depend on worker count or chunking.
+not depend on the worker count.
 
 Exit codes: 0 ok, 1 validation-check failure, 2 usage error, 3 numerical
 failure. --epsilon and --max-proposals fall back to the GINIBRE_EPSILON
 and GINIBRE_MAX_PROPOSALS environment variables when the flag is absent
-(flags win over the environment).
+(flags win over the environment); either way epsilon must lie in (0, 1)
+and the proposal cap must be >= 1.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import hkpv, pipelines, validation
 from .eigen import EigensolverError
 from .kernels import intensity_bounds, radial_intensity
-from .streams import stream_rng
 
 SCHEMA_VERSION = 1
 
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 # sample
 
 
-def _validate_sample_args(args) -> str | None:
+def _validate_sample_args(args, epsilon: float, cap: int) -> str | None:
     if args.count < 1:
         return "--count must be >= 1"
     if args.workers < 1:
@@ -123,39 +124,41 @@ def _validate_sample_args(args) -> str | None:
         if args.radius is not None:
             return "matrix method takes no --radius (unbounded support)"
     elif args.method == "projected":
-        if args.radius is None or args.radius < 0:
-            return "projected method needs --radius >= 0"
+        if args.radius is None or not 0 <= args.radius < math.inf:
+            return "projected method needs a finite --radius >= 0"
         if args.n is not None:
             return "projected method takes no --n (the count is random)"
     elif args.method == "conditioned":
         if args.n is None or args.n < 1:
             return "conditioned method needs --n >= 1"
-        if args.radius is None or args.radius <= 0:
-            return "conditioned method needs --radius > 0"
+        if args.radius is None or not 0 < args.radius < math.inf:
+            return "conditioned method needs a finite --radius > 0"
+    if not 0 < epsilon < 1:
+        return "--epsilon (or GINIBRE_EPSILON) must lie in (0, 1)"
+    if cap < 1:
+        return "--max-proposals (or GINIBRE_MAX_PROPOSALS) must be >= 1"
     return None
 
 
+def _route(method: str, n: int | None, radius: float | None, epsilon: float, cap: int):
+    """The batch function (seed, count, offset=0, workers=1) of a method."""
+    if method == "matrix":
+        return partial(pipelines.sample_matrix_batch, n)
+    if method == "projected":
+        return pipelines.GinibreDiskSampler(radius, epsilon, max_proposals=cap).sample_batch
+    return pipelines.ConditionedSampler(n, radius, max_proposals=cap).sample_batch
+
+
 def _run_sample(args) -> int:
-    problem = _validate_sample_args(args)
-    if problem:
-        print(f"ginibre sample: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     epsilon = args.epsilon if args.epsilon is not None else _env("GINIBRE_EPSILON", float, 1e-12)
     cap = args.max_proposals if args.max_proposals is not None else _env(
         "GINIBRE_MAX_PROPOSALS", int, hkpv.DEFAULT_MAX_PROPOSALS)
-
-    if args.method == "matrix":
-        samples = pipelines.sample_matrix_batch(args.n, args.seed, args.count,
-                                                workers=args.workers)
-        params = {"N": args.n}
-    elif args.method == "projected":
-        sampler = pipelines.GinibreDiskSampler(args.radius, epsilon, max_proposals=cap)
-        samples = sampler.sample_batch(args.seed, args.count, workers=args.workers)
-        params = {"R": args.radius, "epsilon": epsilon}
-    else:
-        sampler = pipelines.ConditionedSampler(args.n, args.radius, max_proposals=cap)
-        samples = sampler.sample_batch(args.seed, args.count, workers=args.workers)
-        params = {"N": args.n, "a": args.radius}
+    problem = _validate_sample_args(args, epsilon, cap)
+    if problem:
+        print(f"ginibre sample: {problem}", file=sys.stderr)
+        return EXIT_USAGE
+    batch = _route(args.method, args.n, args.radius, epsilon, cap)
+    samples = batch(args.seed, args.count, workers=args.workers)
 
     if args.format == "csv":
         lines = [f"# seed={args.seed} method={samples[0].method}",
@@ -169,7 +172,7 @@ def _run_sample(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "sample",
             "method": samples[0].method,
-            "params": params,
+            "params": samples[0].params,
             "seed": args.seed,
             "samples": [
                 {"sample_id": i, **s.to_dict()} for i, s in enumerate(samples)
@@ -233,20 +236,12 @@ def _run_validate(args) -> int:
 
 
 def _bench_cell(method: str, n: int, count: int, seed: int):
-    if method == "projected":
-        sampler = pipelines.GinibreDiskSampler(math.sqrt(n))
-    elif method == "conditioned":
-        sampler = pipelines.ConditionedSampler(n)
-    else:
-        sampler = None
+    batch = _route(method, n, math.sqrt(n), 1e-12, hkpv.DEFAULT_MAX_PROPOSALS)
     times = []
     rates = []
     for i in range(count):
         t0 = time.perf_counter()
-        if sampler is None:
-            sample = pipelines.sample_matrix_batch(n, seed, 1, offset=i)[0]
-        else:
-            sample = sampler.sample(stream_rng(seed, i))
+        sample = batch(seed, 1, offset=i)[0]
         times.append(time.perf_counter() - t0)
         diag = sample.diagnostics
         if diag is not None and diag.proposals:
@@ -267,6 +262,9 @@ def _run_bench(args) -> int:
     bad = [m for m in methods if m not in ("matrix", "projected", "conditioned")]
     if bad or not methods or not sizes or args.count < 1:
         print(f"ginibre bench: invalid methods/sizes/count {bad}", file=sys.stderr)
+        return EXIT_USAGE
+    if min(sizes) < 1:
+        print("ginibre bench: --sizes must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     lines = [f"# seed={args.seed}",
              "method,size,wall_mean_s,wall_std_s,acceptance_rate"]

@@ -43,8 +43,9 @@ _HARD_FLOOR = 1e-9
 # A proposal block's feature matrix holds at most about this many entries.
 _BLOCK_ELEMENTS = 1 << 16
 
-# Radii per refinement of the sup envelope's bracket: each call narrows it
-# 16-fold.
+# Radii of the sup envelope's first radial grid, and per refinement of
+# its bracket: each refinement narrows the bracket 16-fold.
+_SUP_GRID = 256
 _REFINE_POINTS = 33
 
 
@@ -106,15 +107,15 @@ class OrthoState:
         self.accepted.append(complex(z))
 
 
-def sup_feature_norm_sq(basis: BasisSubset, grid: int = 256) -> float:
+def sup_feature_norm_sq(basis: BasisSubset) -> float:
     """sup_z ||v(z)||^2 over the basis disk.
 
-    ||v||^2 is radial for these bases. A dense radial grid brackets the
-    maximum; the bracket around the best point is then refined with
-    _REFINE_POINTS evenly spaced radii per evaluation until it is
-    narrower than 1e-9 R. Returns the largest value evaluated.
+    ||v||^2 is radial for these bases. A radial grid of _SUP_GRID points
+    brackets the maximum; the bracket around the best point is then
+    refined with _REFINE_POINTS evenly spaced radii per evaluation until
+    it is narrower than 1e-9 R. Returns the largest value evaluated.
     """
-    radii = np.linspace(0.0, basis.radius, grid)
+    radii = np.linspace(0.0, basis.radius, _SUP_GRID)
     best = 0.0
     while True:
         vals = _feature_norm_sq_radial(basis, radii)
@@ -210,17 +211,17 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
 
 
 def sample_projection_dpp(basis: BasisSubset, rng: np.random.Generator,
+                          sup_norm_sq: float,
                           diagnostics: RejectionDiagnostics | None = None,
-                          max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                          sup_norm_sq: float | None = None) -> np.ndarray:
+                          max_proposals: int = DEFAULT_MAX_PROPOSALS) -> np.ndarray:
     """Draw the n-point projection process defined by the basis.
 
-    Returns exactly basis.size points (complex array, acceptance order).
+    sup_norm_sq is sup_feature_norm_sq(basis), computed once per basis by
+    the caller. Returns exactly basis.size points (complex array,
+    acceptance order).
     """
     if basis.size == 0:
         return np.empty(0, dtype=complex)
-    if sup_norm_sq is None:
-        sup_norm_sq = sup_feature_norm_sq(basis)
     state = OrthoState(basis=basis)
     while state.remaining > 0:
         envelope = envelope_bound(state, sup_norm_sq)

@@ -1,10 +1,11 @@
 """Method A: the truncated Ginibre process as random-matrix eigenvalues.
 
 This module draws the matrices; `pipelines.sample_matrix_batch` takes
-their eigenvalues with `eigen.eigenvalues_batch`. An N x N matrix with iid standard complex Gaussian entries (real and
-imaginary parts N(0, 1/2) each, so E|entry|^2 = 1) has eigenvalues
-distributed as the rank-N truncated Ginibre process. No symmetry is
-imposed on the matrix.
+their eigenvalues, up to `pipelines.MATRIX_CHUNK` matrices per
+`eigen.eigenvalues_batch` call. An N x N matrix with iid standard complex
+Gaussian entries (real and imaginary parts N(0, 1/2) each, so
+E|entry|^2 = 1) has eigenvalues distributed as the rank-N truncated
+Ginibre process. No symmetry is imposed on the matrix.
 """
 
 from __future__ import annotations

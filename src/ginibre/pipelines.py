@@ -11,9 +11,10 @@ conditioned       the rank-N process conditioned to carry all N points on
                   homothety z -> (a/sqrt(N)) z.
 
 Samplers with precomputed state (spectrum tables, rejection envelopes)
-amortize setup across batch draws; each sample i of a batch uses the
-derived stream (seed, i), so batches are reproducible point for point no
-matter how they are chunked or parallelized.
+amortize setup across batch draws. One driver, _batch, runs the batches
+of all three routes, in this process or split over worker processes;
+each sample i of a batch uses the derived stream (seed, i), so batches
+are reproducible point for point for any worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ REJECTION_RETRY_CAP = 1_000_000
 # Entries of GinibreDiskSampler's sup-envelope cache, one per distinct
 # index set; the oldest entry is evicted first.
 SUP_CACHE_SIZE = 4096
+
+# Matrices per eigen.eigenvalues_batch call on the matrix route.
+MATRIX_CHUNK = 512
+
+# Sequential-sampler batches smaller than this run in one process.
+SEQUENTIAL_FAN_OUT_MIN = 64
 
 
 class GinibreDiskSampler:
@@ -87,7 +94,8 @@ class GinibreDiskSampler:
 
     def sample_batch(self, seed: int, count: int, offset: int = 0,
                      workers: int = 1) -> list[SampleSet]:
-        return _sequential_batch(self, seed, count, offset, workers)
+        return _batch(partial(_draws, self, seed), count, offset, workers,
+                      SEQUENTIAL_FAN_OUT_MIN)
 
 
 class ConditionedSampler:
@@ -122,19 +130,35 @@ class ConditionedSampler:
 
     def sample_batch(self, seed: int, count: int, offset: int = 0,
                      workers: int = 1) -> list[SampleSet]:
-        return _sequential_batch(self, seed, count, offset, workers)
+        return _batch(partial(_draws, self, seed), count, offset, workers,
+                      SEQUENTIAL_FAN_OUT_MIN)
 
 
-def _sequential_batch(sampler, seed: int, count: int, offset: int,
-                      workers: int = 1) -> list[SampleSet]:
-    """Draws offset .. offset+count-1 of a sequential sampler.
+def _batch(span, count: int, offset: int, workers: int,
+           fan_out_min: int) -> list[SampleSet]:
+    """Draws offset .. offset+count-1, as span(size, start) returns them.
+
+    With one worker, or fewer than fan_out_min draws, span runs once in
+    this process. Otherwise the draws are split into one contiguous,
+    in-order part per worker process; span must then be picklable.
+    """
+    if workers <= 1 or count < fan_out_min:
+        return span(count, offset)
+    parts = min(workers, count)
+    base, extra = divmod(count, parts)
+    sizes = [base + (p < extra) for p in range(parts)]
+    starts = [offset + p * base + min(p, extra) for p in range(parts)]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        return [s for part in pool.map(span, sizes, starts) for s in part]
+
+
+def _draws(sampler, seed: int, size: int, start: int) -> list[SampleSet]:
+    """Draws start .. start+size-1 of a sequential sampler.
 
     Workers receive the configured sampler itself, so its proposal cap
     and epsilon hold for any worker count.
     """
-    if workers > 1 and count >= 64:
-        return _fan_out(partial(_sequential_batch, sampler, seed), count, offset, workers)
-    return [_stream_sample(sampler, seed, offset + i) for i in range(count)]
+    return [_stream_sample(sampler, seed, start + i) for i in range(size)]
 
 
 def _stream_sample(sampler, seed: int, index: int) -> SampleSet:
@@ -153,62 +177,29 @@ def sample_conditioned_truncated(n_points: int, target_radius: float, seed: int)
     return _stream_sample(ConditionedSampler(n_points, target_radius), seed, 0)
 
 
-def _matrix_batch_serial(n_points: int, seed: int, count: int, offset: int,
-                         chunk: int, entry_scale: float) -> list[SampleSet]:
+def _matrices(n_points: int, seed: int, entry_scale: float,
+              size: int, start: int) -> list[SampleSet]:
+    """Matrix-route draws start .. start+size-1, MATRIX_CHUNK per eigen call."""
     out: list[SampleSet] = []
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        children = [child_seed(seed, offset + start + i) for i in range(size)]
+    stop = start + size
+    for first in range(start, stop, MATRIX_CHUNK):
+        children = [child_seed(seed, i) for i in range(first, min(first + MATRIX_CHUNK, stop))]
         mats = np.stack([
             matrix_sampler.sample_ginibre_matrix(
                 n_points, np.random.default_rng(child), entry_scale)
             for child in children
         ])
-        eig = eigen.eigenvalues_batch(mats)
-        for i, child in enumerate(children):
-            out.append(SampleSet(
-                points=eig[i], method="matrix", params={"N": n_points}, seed=child,
-            ))
+        out += [SampleSet(points=points, method="matrix", params={"N": n_points}, seed=child)
+                for points, child in zip(eigen.eigenvalues_batch(mats), children)]
     return out
 
 
 def sample_matrix_batch(n_points: int, seed: int, count: int, offset: int = 0,
-                        chunk: int = 512, entry_scale: float = 1.0,
-                        workers: int = 1) -> list[SampleSet]:
+                        entry_scale: float = 1.0, workers: int = 1) -> list[SampleSet]:
     """Matrix-route batch; sample i always uses stream (seed, offset + i),
-    so the result is byte-identical for any chunk size or worker count."""
-    if workers > 1 and count >= 2 * chunk:
-        span = partial(_matrix_batch_serial, n_points, seed,
-                       chunk=chunk, entry_scale=entry_scale)
-        return _fan_out(span, count, offset, workers)
-    return _matrix_batch_serial(n_points, seed, count, offset, chunk, entry_scale)
-
-
-def _fan_out(span, count: int, offset: int, workers: int) -> list[SampleSet]:
-    """span(size, start) over one contiguous span per worker, in order.
-
-    span must be picklable; it runs in a worker process and returns the
-    samples of indices start .. start+size-1.
-    """
-    spans = _split_spans(count, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(span, [size for _, size in spans],
-                         [offset + start for start, _ in spans])
-        return [s for part in parts for s in part]
-
-
-def _split_spans(count: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous (start, size) spans covering range(count)."""
-    base = count // parts
-    rem = count % parts
-    spans = []
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < rem else 0)
-        if size:
-            spans.append((start, size))
-        start += size
-    return spans
+    so the result is byte-identical for any worker count."""
+    return _batch(partial(_matrices, n_points, seed, entry_scale), count, offset,
+                  workers, 2 * MATRIX_CHUNK)
 
 
 def acceptance_probability_all_in_disk(n_points: int) -> float:

@@ -38,13 +38,20 @@ class TestSampleCommand:
         assert len(a.read_text().strip().splitlines()) == 5  # seed + header + 3 points
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        one = tmp_path / "w1.csv"
-        two = tmp_path / "w2.csv"
-        base = ["sample", "--method", "projected", "--radius", "1.0",
-                "--count", "150", "--seed", "5"]
-        assert cli.main(base + ["--workers", "1", "-o", str(one)]) == 0
-        assert cli.main(base + ["--workers", "2", "-o", str(two)]) == 0
-        assert one.read_bytes() == two.read_bytes()
+        # each count is at or above its route's fan-out threshold, so two
+        # workers split the batch
+        from ginibre import pipelines
+        for route in (["--method", "projected", "--radius", "1.0", "--count", "150"],
+                      ["--method", "conditioned", "--n", "3", "--radius", "1.0",
+                       "--count", str(pipelines.SEQUENTIAL_FAN_OUT_MIN)],
+                      ["--method", "matrix", "--n", "3",
+                       "--count", str(2 * pipelines.MATRIX_CHUNK + 1)]):
+            one = tmp_path / "w1.csv"
+            two = tmp_path / "w2.csv"
+            base = ["sample", *route, "--seed", "5"]
+            assert cli.main(base + ["--workers", "1", "-o", str(one)]) == 0
+            assert cli.main(base + ["--workers", "2", "-o", str(two)]) == 0
+            assert one.read_bytes() == two.read_bytes(), route
 
     def test_projected_low_radius_has_empty_samples(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -90,6 +97,26 @@ class TestSampleCommand:
                          "--workers", "-2"]) == 2
         assert cli.main(["sample", "--method", "projected", "--radius", "1",
                          "--workers", "0"]) == 2
+
+    @pytest.mark.parametrize("argv, env", [
+        ("sample --method conditioned --n 3 --radius inf", {}),
+        ("sample --method projected --radius nan", {}),
+        ("sample --method projected --radius inf", {}),
+        ("sample --method projected --radius 1 --epsilon 2", {}),
+        ("sample --method projected --radius 1 --epsilon nan", {}),
+        ("sample --method projected --radius 1", {"GINIBRE_EPSILON": "5"}),
+        ("sample --method conditioned --n 3 --radius 1 --max-proposals 0", {}),
+        ("sample --method conditioned --n 3 --radius 1", {"GINIBRE_MAX_PROPOSALS": "0"}),
+        ("bench --methods conditioned --sizes 0", {}),
+        ("bench --methods matrix --sizes -2", {}),
+    ])
+    def test_bad_values_exit_2_with_one_line(self, argv, env, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ginibre") and captured.err.count("\n") == 1
 
     def test_proposal_cap_exit_3_with_workers(self, tmp_path):
         rc = cli.main(["sample", "--method", "conditioned", "--n", "20",

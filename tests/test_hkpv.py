@@ -276,7 +276,9 @@ class TestBlockStream:
 class TestSampleProjectionDpp:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_exact_count(self, n):
-        pts = hkpv.sample_projection_dpp(conditioned_basis(n), np.random.default_rng(n))
+        basis = conditioned_basis(n)
+        pts = hkpv.sample_projection_dpp(basis, np.random.default_rng(n),
+                                         sup_norm_sq=hkpv.sup_feature_norm_sq(basis))
         assert len(pts) == n
         assert np.all(np.abs(pts) <= math.sqrt(n) + 1e-9)
 

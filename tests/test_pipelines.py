@@ -121,6 +121,41 @@ class TestConditionedRoute:
         assert check.passed, check.tolerance
 
 
+class InlinePool:
+    """ProcessPoolExecutor stand-in that runs map in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestBatchDriver:
+    def test_split_is_contiguous_in_order(self, monkeypatch):
+        pools, spans = [], []
+        monkeypatch.setattr(pipelines, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or InlinePool())
+
+        def span(size, start):
+            spans.append((start, size))
+            return list(range(start, start + size))
+
+        draws = pipelines._batch(span, 65, 7, workers=3, fan_out_min=64)
+        assert pools == [3]
+        assert spans == [(7, 22), (29, 22), (51, 21)]
+        assert draws == list(range(7, 72))
+
+    def test_serial_below_threshold_or_one_worker(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "ProcessPoolExecutor", None)
+        span = lambda size, start: list(range(start, start + size))  # noqa: E731
+        assert pipelines._batch(span, 63, 7, workers=3, fan_out_min=64) == list(range(7, 70))
+        assert pipelines._batch(span, 65, 7, workers=1, fan_out_min=64) == list(range(7, 72))
+
+
 class TestAcceptanceProbability:
     def test_closed_forms(self):
         assert pipelines.acceptance_probability_all_in_disk(1) == pytest.approx(
@@ -165,23 +200,47 @@ class TestRejectionConditioning:
 
 
 class TestMatrixBatch:
-    def test_chunk_and_worker_invariance(self):
-        base = pipelines.sample_matrix_batch(6, seed=13, count=30, chunk=7)
-        rechunked = pipelines.sample_matrix_batch(6, seed=13, count=30, chunk=30)
-        workered = pipelines.sample_matrix_batch(6, seed=13, count=30, chunk=7, workers=2)
-        for x, y, z in zip(base, rechunked, workered):
+    def test_chunk_and_worker_invariance(self, monkeypatch):
+        base = pipelines.sample_matrix_batch(6, seed=13, count=30)
+        monkeypatch.setattr(pipelines, "MATRIX_CHUNK", 7)
+        rechunked = pipelines.sample_matrix_batch(6, seed=13, count=30)
+        workered = pipelines.sample_matrix_batch(6, seed=13, count=30, workers=2)
+        for x, y, z in zip(base, rechunked, workered, strict=True):
             assert np.array_equal(x.points, y.points)
             assert np.array_equal(x.points, z.points)
 
-    def test_chunk_and_worker_invariance_threaded_blas_order(self):
+    def test_chunk_and_worker_invariance_threaded_blas_order(self, monkeypatch):
         # From N ~ 74 up, LAPACK's reduction runs threaded BLAS: bytes may
         # depend on the BLAS thread count, but not on chunking or workers.
-        base = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=64)
-        rechunked = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=16)
-        workered = pipelines.sample_matrix_batch(100, seed=15, count=64, chunk=16, workers=2)
-        for x, y, z in zip(base, rechunked, workered):
+        base = pipelines.sample_matrix_batch(100, seed=15, count=64)
+        monkeypatch.setattr(pipelines, "MATRIX_CHUNK", 16)
+        rechunked = pipelines.sample_matrix_batch(100, seed=15, count=64)
+        workered = pipelines.sample_matrix_batch(100, seed=15, count=64, workers=2)
+        for x, y, z in zip(base, rechunked, workered, strict=True):
             assert np.array_equal(x.points, y.points)
             assert np.array_equal(x.points, z.points)
+
+    def test_fan_out_only_at_threshold(self, monkeypatch):
+        # 2 * MATRIX_CHUNK draws and more are split over the workers; fewer
+        # run in this process
+        monkeypatch.setattr(pipelines, "MATRIX_CHUNK", 7)
+        pools = []
+        monkeypatch.setattr(pipelines, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or InlinePool())
+        pipelines.sample_matrix_batch(3, seed=1, count=13, workers=2)
+        assert pools == []
+        pipelines.sample_matrix_batch(3, seed=1, count=14, workers=2)
+        assert pools == [2]
+
+    def test_draw_i_is_stream_offset_plus_i(self):
+        # the batch holds one full chunk and the start of the next
+        offset, count = 5, pipelines.MATRIX_CHUNK + 3
+        batch = pipelines.sample_matrix_batch(2, seed=3, count=count, offset=offset)
+        assert len(batch) == count
+        for i, sample in enumerate(batch):
+            alone = pipelines.sample_matrix_batch(2, seed=3, count=1, offset=offset + i)[0]
+            assert sample.seed == alone.seed
+            assert np.array_equal(sample.points, alone.points)
 
     def test_outside_count_matches_delta(self):
         from ginibre.validation import outside_disk_check
