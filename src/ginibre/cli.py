@@ -10,7 +10,7 @@ Exit codes: 0 ok, 1 validation-check failure, 2 usage error, 3 numerical
 failure. --epsilon and --max-proposals fall back to the GINIBRE_EPSILON
 and GINIBRE_MAX_PROPOSALS environment variables when the flag is absent
 (flags win over the environment); either way epsilon must lie in (0, 1)
-and the proposal cap must be >= 1.
+and the proposal cap must be >= 1. A negative --seed is a usage error.
 """
 
 from __future__ import annotations
@@ -280,6 +280,9 @@ def _run_bench(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        print(f"ginibre {args.command}: --seed must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "sample":
             return _run_sample(args)

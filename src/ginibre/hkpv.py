@@ -1,14 +1,15 @@
 """Sequential sampler for determinantal projection processes.
 
 Points are drawn one at a time from conditional densities
-p_i(x) = (||v(x)||^2 - sum_j |e_j* v(x)|^2) / i, where v is the feature
-vector of the basis eigenfunctions and the e_j are an orthonormal basis
-of the span of the feature vectors at already-accepted points, maintained
-by classical Gram-Schmidt applied twice. Each conditional is sampled by
-rejection from the uniform law on the disk under a precomputed sup bound.
-Proposals are evaluated in blocks, one conditional_density call per
-block, while the random stream is consumed exactly as by one proposal at
-a time.
+p_i(x) = ||C v(x)||^2 / i, where v is the feature vector of the basis
+eigenfunctions and the i rows of C are an orthonormal basis of the
+orthogonal complement of the feature vectors at already-accepted points
+(Hough, Krishnapur, Peres and Virag 2006, Alg. 18). C starts as the
+identity and loses one row per accepted point, by one Householder
+reflection. Each conditional is sampled by rejection from the uniform law
+on the disk under a precomputed sup bound. Proposals are evaluated in
+blocks, one conditional_density call per block, while the random stream
+is consumed exactly as by one proposal at a time.
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ __all__ = [
     "RejectionCapError",
     "feature_vector",
     "conditional_density",
-    "envelope_bound",
     "rejection_step",
     "sample_projection_dpp",
     "sup_feature_norm_sq",
 ]
 
 DEFAULT_MAX_PROPOSALS = 1_000_000
-
-# p_i values in [-HARD_FLOOR, 0) are rounding and are clamped to 0; below
-# -HARD_FLOOR the orthonormal set has degraded and OrthogonalityError stops
-# the run.
-_HARD_FLOOR = 1e-9
 
 # A proposal block's feature matrix holds at most about this many entries.
 _BLOCK_ELEMENTS = 1 << 16
@@ -50,7 +45,7 @@ _REFINE_POINTS = 33
 
 
 class OrthogonalityError(RuntimeError):
-    """Conditional density went negative beyond rounding tolerance."""
+    """An accepted point's feature vector lies in the accepted span."""
 
 
 class RejectionCapError(RuntimeError):
@@ -59,51 +54,46 @@ class RejectionCapError(RuntimeError):
 
 @dataclass
 class OrthoState:
-    """Mutable sampler state: basis, accepted points, orthonormal vectors.
+    """Mutable sampler state: basis, accepted points, complement rows.
 
-    conj_rows is a preallocated (n, n) buffer whose first j rows are the
-    conjugated orthonormal vectors conj(e_1)..conj(e_j): conj_rows[:j] @ v
-    gives the coefficients e_k* v in one matrix product.
+    complement is the (i, n) matrix C whose orthonormal rows span the
+    orthogonal complement of the accepted feature vectors, conjugated so
+    that C @ v gives the coordinates of v's projection onto it. It starts
+    as the identity and is a view of that buffer, one row shorter per
+    accepted point.
     """
 
     basis: BasisSubset
     accepted: list = field(default_factory=list)
-    conj_rows: np.ndarray = field(init=False, repr=False)
+    complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.conj_rows = np.zeros((self.basis.size, self.basis.size), dtype=complex)
+        self.complement = np.eye(self.basis.size, dtype=complex)
 
     @property
     def remaining(self) -> int:
         return self.basis.size - len(self.accepted)
 
-    @property
-    def ortho(self) -> np.ndarray:
-        """The (j, n) orthonormal rows e_1..e_j, as a new array."""
-        return self.conj_rows[:len(self.accepted)].conj()
-
-    @ortho.setter
-    def ortho(self, rows: np.ndarray) -> None:
-        self.conj_rows[:len(rows)] = np.conj(rows)
-
     def add_point(self, z: complex) -> None:
-        """Accept z and extend the orthonormal set with its feature vector.
+        """Accept z and remove its feature vector w from the complement.
 
-        Classical Gram-Schmidt applied twice: each pass removes the
-        projection on the accepted span with two matrix-vector products,
-        and the second pass restores orthogonality to working precision
-        (a single pass loses it by n ~ 100).
+        With a = C w, the Householder reflection H = I - 2 u u* / (u* u),
+        u = a - alpha e_1 and alpha = -phase(a_1) ||a|| (no cancellation),
+        maps a to alpha e_1. Rows 2..i of H C are then orthonormal and
+        orthogonal to w, and they are the new C; only they are updated.
         """
-        j = len(self.accepted)
-        rows = self.conj_rows[:j]
+        c = self.complement
         w = feature_vector(self.basis, z)
-        for _ in range(2):
-            # sum_k (e_k* w) e_k, with e_k = conj(rows[k])
-            w = w - ((rows @ w).conj() @ rows).conj()
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
+        a = c @ w
+        norm_a = np.linalg.norm(a)
+        if norm_a == 0.0:
             raise OrthogonalityError("feature vector already in accepted span")
-        self.conj_rows[j] = w.conj() / norm_w
+        abs_a1 = abs(a[0])
+        u = a.copy()
+        u[0] += (a[0] / abs_a1 if abs_a1 else 1.0) * norm_a
+        # 2 / (u* u) = 1 / (||a|| (||a|| + |a_1|))
+        c[1:] -= np.outer(a[1:] / (norm_a * (norm_a + abs_a1)), u.conj() @ c)
+        self.complement = c[1:]
         self.accepted.append(complex(z))
 
 
@@ -138,29 +128,9 @@ def conditional_density(state: OrthoState, z):
     if i < 1:
         raise ValueError("no points remain to be drawn")
     v = feature_vector(state.basis, z)
-    scalar = v.ndim == 1
-    vv = v[:, None] if scalar else v
-    norm2 = np.einsum("nm,nm->m", vv.conj(), vv).real
-    if state.accepted:
-        proj = state.conj_rows[:len(state.accepted)] @ vv
-        norm2 = norm2 - np.einsum("jm,jm->m", proj.conj(), proj).real
-    p = norm2 / i
-    low = p.min()
-    if low < -_HARD_FLOOR:
-        raise OrthogonalityError(
-            f"conditional density {low} below -{_HARD_FLOOR}: orthogonality lost"
-        )
-    p = np.maximum(p, 0.0)
-    return float(p[0]) if scalar else p
-
-
-def envelope_bound(state: OrthoState, sup_norm_sq: float) -> float:
-    """Certified constant bound M_i >= sup p_i for the current step.
-
-    p_i <= ||v||^2 / i pointwise, so the precomputed radial supremum of
-    ||v||^2 divided by the number of remaining points is an upper bound.
-    """
-    return sup_norm_sq / state.remaining
+    cv = state.complement @ (v[:, None] if v.ndim == 1 else v)
+    p = np.einsum("jm,jm->m", cv.conj(), cv).real / i
+    return float(p[0]) if v.ndim == 1 else p
 
 
 def _disk_point(radius: float, u_radius: float, u_angle: float) -> complex:
@@ -180,9 +150,7 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
     when u * envelope < p_i(z). A block of about 1.5x the expected number
     of proposals is drawn and evaluated with one conditional_density call;
     the first acceptance wins, and the stream is rewound and redrawn up to
-    it, so it ends where a one-at-a-time loop would leave it. A density
-    below the hard floor anywhere in the block raises OrthogonalityError,
-    also past the accepted proposal.
+    it, so it ends where a one-at-a-time loop would leave it.
     """
     radius = state.basis.radius
     block = min(math.ceil(1.5 * envelope * math.pi * radius * radius),
@@ -224,7 +192,8 @@ def sample_projection_dpp(basis: BasisSubset, rng: np.random.Generator,
         return np.empty(0, dtype=complex)
     state = OrthoState(basis=basis)
     while state.remaining > 0:
-        envelope = envelope_bound(state, sup_norm_sq)
+        # p_i <= ||v||^2 / i pointwise, so sup ||v||^2 / i bounds p_i
+        envelope = sup_norm_sq / state.remaining
         z = rejection_step(state, rng, envelope, diagnostics, max_proposals)
         state.add_point(z)
     return np.array(state.accepted, dtype=complex)

@@ -3,14 +3,15 @@
 Tolerance conventions (uniform across the suite so reports are machine
 checkable): Monte Carlo moments and frequencies use z-scores with the
 standard deviation taken from the theoretical law, and record the
-two-sided normal tail erfc(z / sqrt 2) as `tolerance.pvalue`. KS tests
-run at level 0.01, against exact finite-N distribution functions built
-from the incomplete-gamma module or between two batches, on one value
-per draw (the largest |X_i|^2, the smallest pair distance), so that the
-values a test pools are independent; only the two-sample radius test
+two-sided normal tail erfc(z / sqrt 2) as `tolerance.pvalue`, as KS
+tests do. KS tests compare against exact finite-N distribution functions
+built from the incomplete-gamma module or between two batches, on one
+value per draw (the largest |X_i|^2, the smallest pair distance), so that
+the values a test pools are independent; only the two-sample radius test
 pools every point. Deterministic identities use relative or absolute
 slack of 1e-8 / 1e-12 as stated per check. Every theoretical value is
-recomputed from closed forms at report time.
+recomputed from closed forms at report time. Checks called alone apply
+their own rules; in the suite, holm() decides those with a p-value.
 
 A check function reads arrays and returns its list of CheckResults: m
 draws of N points each are an (m, N) point array, and projected-route
@@ -43,11 +44,14 @@ from .specfun import log_regularized_lower_gamma
 
 __all__ = ["CheckResult", "ValidationReport", "FAMILIES", "delta_n", "kostlan_check",
            "intensity_check", "hole_and_count_check", "method_equivalence_check",
-           "run_validation_suite"]
+           "holm", "run_validation_suite"]
 
 SCHEMA_VERSION = 1
 
 KS_LEVEL = 0.01
+
+# Family-wise error rate of the suite's stochastic checks (Holm).
+FAMILY_LEVEL = 0.01
 
 
 @dataclass
@@ -100,7 +104,7 @@ def _z_check(name: str, theoretical: float, empirical: float, sigma: float,
 
 def _ks_check(name: str, pvalue: float, n: int) -> CheckResult:
     return CheckResult(name=name, theoretical=1.0, empirical=pvalue,
-                       tolerance={"rule": "ks-pvalue", "level": KS_LEVEL},
+                       tolerance={"rule": "ks-pvalue", "level": KS_LEVEL, "pvalue": pvalue},
                        sample_size=n, passed=pvalue > KS_LEVEL)
 
 
@@ -468,6 +472,24 @@ FAMILIES = (closed_form_family, kostlan_family, conditioning_family,
             projected_family, equivalence_family, negative_control_family)
 
 
+def holm(checks: list[CheckResult]) -> None:
+    """Holm's step-down, in place, over the checks with a tolerance.pvalue.
+
+    Step k (from 0) of the m ascending p-values has level FAMILY_LEVEL / (m - k),
+    recorded as tolerance.family_level. Checks fail up to the first step
+    whose p exceeds its level, and pass from it on; a NaN p sorts first
+    and fails.
+    """
+    family = sorted((c for c in checks if "pvalue" in c.tolerance),
+                    key=lambda c: c.tolerance["pvalue"] if c.tolerance["pvalue"] >= 0 else -1.0)
+    rejecting = True
+    for k, check in enumerate(family):
+        step_level = FAMILY_LEVEL / (len(family) - k)
+        rejecting = rejecting and not (check.tolerance["pvalue"] > step_level)
+        check.tolerance["family_level"] = step_level
+        check.passed = not rejecting
+
+
 def run_validation_suite(seed: int, scale: float = 1.0, workers: int = 1,
                          entry_scale: float = 1.0) -> ValidationReport:
     """The full desk-scale suite; scale < 1 shrinks every batch size.
@@ -477,4 +499,5 @@ def run_validation_suite(seed: int, scale: float = 1.0, workers: int = 1,
     """
     t0 = time.perf_counter()
     checks = [c for family in FAMILIES for c in family(seed, scale, workers, entry_scale)]
+    holm(checks)
     return ValidationReport(seed=seed, checks=checks, runtime_seconds=time.perf_counter() - t0)

@@ -109,6 +109,9 @@ class TestSampleCommand:
         ("sample --method conditioned --n 3 --radius 1", {"GINIBRE_MAX_PROPOSALS": "0"}),
         ("bench --methods conditioned --sizes 0", {}),
         ("bench --methods matrix --sizes -2", {}),
+        ("sample --method matrix --n 3 --seed -1", {}),
+        ("validate --seed -1", {}),
+        ("bench --seed -1", {}),
     ])
     def test_bad_values_exit_2_with_one_line(self, argv, env, monkeypatch, capsys):
         for name, value in env.items():

@@ -93,15 +93,13 @@ class TestConditionalDensity:
             assert hkpv.conditional_density(state, z) == pytest.approx(
                 p2 / p1, rel=1e-10, abs=1e-12)
 
-    def test_negative_density_raises(self):
-        basis = conditioned_basis(3)
-        state = hkpv.OrthoState(basis=basis)
-        state.add_point(0.1 + 0.1j)
-        # corrupt the orthonormal set so the projection overshoots
-        state.ortho = state.ortho * 1.5
+    def test_zero_pivot_raises(self):
+        # after accepting 0, the complement of v(0) = (c, 0) is exactly e_2,
+        # so a second 0 has pivot C v(0) = 0 exactly
+        state = hkpv.OrthoState(basis=conditioned_basis(2))
+        state.add_point(0j)
         with pytest.raises(hkpv.OrthogonalityError):
-            state.accepted.append(0.1 + 0.1j)  # pretend two accepted
-            hkpv.conditional_density(state, 0.1 + 0.1j)
+            state.add_point(0j)
 
 
 class TestEnvelope:
@@ -113,7 +111,7 @@ class TestEnvelope:
         v = hkpv.feature_vector(basis, grid)
         dense = float(np.max(np.sum(np.abs(v) ** 2, axis=0)))
         assert sup == pytest.approx(dense, rel=1e-6)
-        assert hkpv.envelope_bound(state, sup) == pytest.approx(dense / 2, rel=1e-6)
+        assert sup / state.remaining == pytest.approx(dense / 2, rel=1e-6)
 
     @staticmethod
     def dense_radial_max(basis):
@@ -294,28 +292,27 @@ class TestSampleProjectionDpp:
         res = scipy_stats.kstest(radii, lambda r: (1 - np.exp(-r ** 2)) / gam1)
         assert res.pvalue > 0.01
 
-    def test_orthonormal_vectors_maintained_n100(self):
-        n = 100
+    @staticmethod
+    def assert_complement_orthonormal(n, seed, tol):
+        # after every accepted point: C C* = I, and C annihilates every
+        # accepted feature vector w_k relative to its norm
         basis = conditioned_basis(n)
         state = hkpv.OrthoState(basis=basis)
-        rng = np.random.default_rng(13)
+        rng = np.random.default_rng(seed)
         sup = hkpv.sup_feature_norm_sq(basis)
         while state.remaining > 0:
             state.add_point(hkpv.rejection_step(state, rng, sup / state.remaining))
-        gram = state.ortho @ state.ortho.conj().T
-        assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
+            c = state.complement
+            assert np.max(np.abs(c @ c.conj().T - np.eye(len(c))), initial=0.0) <= tol
+            w = hkpv.feature_vector(basis, np.array(state.accepted))
+            assert np.max(np.abs(c @ w) / np.linalg.norm(w, axis=0), initial=0.0) <= tol
+
+    def test_orthonormal_vectors_maintained_n100(self):
+        self.assert_complement_orthonormal(100, 13, 1e-8)
 
     def test_orthonormal_vectors_maintained_n200(self):
-        # two-pass classical Gram-Schmidt stays at working precision
-        n = 200
-        basis = conditioned_basis(n)
-        state = hkpv.OrthoState(basis=basis)
-        rng = np.random.default_rng(15)
-        sup = hkpv.sup_feature_norm_sq(basis)
-        while state.remaining > 0:
-            state.add_point(hkpv.rejection_step(state, rng, sup / state.remaining))
-        gram = state.ortho @ state.ortho.conj().T
-        assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+        # Householder updates stay at working precision
+        self.assert_complement_orthonormal(200, 15, 1e-12)
 
     def test_exchangeability_first_vs_last(self):
         # the output set is exchangeable: the first-accepted and

@@ -123,6 +123,36 @@ class TestReportFormat:
         assert not report.passed
 
 
+class TestHolm:
+    @staticmethod
+    def check(name, passed, **tolerance):
+        return validation.CheckResult(name=name, theoretical=0.0, empirical=0.0,
+                                      tolerance={"rule": "z-score", **tolerance},
+                                      sample_size=1, passed=passed)
+
+    def test_step_down_order_and_levels(self):
+        checks = [self.check("p0045", False, pvalue=0.0045),
+                  self.check("p001", True, pvalue=0.001),
+                  self.check("own_fail", False),
+                  self.check("p2", False, pvalue=0.2),
+                  self.check("nan", True, pvalue=math.nan),
+                  self.check("p004", False, pvalue=0.004),
+                  self.check("own_pass", True)]
+        validation.holm(checks)
+        by_name = {c.name: c for c in checks}
+        # sorted: nan, 0.001, 0.004, 0.0045, 0.2 against 0.01 / (5, 4, 3, 2, 1);
+        # 0.004 > 0.01 / 3 stops the step-down, so 0.0045 <= 0.01 / 2 passes
+        assert validation.FAMILY_LEVEL == 0.01
+        for name, family_level, passed in (("nan", 0.01 / 5, False), ("p001", 0.01 / 4, False),
+                                           ("p004", 0.01 / 3, True), ("p0045", 0.01 / 2, True),
+                                           ("p2", 0.01, True)):
+            assert by_name[name].tolerance["family_level"] == pytest.approx(family_level)
+            assert by_name[name].passed is passed
+        for name, passed in (("own_fail", False), ("own_pass", True)):
+            assert "family_level" not in by_name[name].tolerance
+            assert by_name[name].passed is passed
+
+
 @pytest.fixture(scope="module")
 def conditioned_points():
     """(3000, N) point arrays of the conditioned sampler, keyed by (N, seed)."""
@@ -144,6 +174,7 @@ class TestEquivalenceCheck:
                                             "equivalence_min_pair_distance"]
         assert checks[0].sample_size == a.size + b.size
         assert checks[1].sample_size == len(a) + len(b)
+        assert all(c.tolerance["pvalue"] == c.empirical for c in checks)
 
     def test_different_law_fails(self, conditioned_points):
         checks = validation.method_equivalence_check(conditioned_points[2, 100],
