@@ -155,7 +155,9 @@ class BasisSubset:
     The recurrence table of feature_vector covers rows 0..max(indices) in
     blocks of equal length: _steps[b, k] is c_n / c_{n-1} for row n = b *
     block + k (0 past the last row), and _start_rows / _start_logs hold
-    each block's first row n and ln c_n, one row per block.
+    each block's first row n and ln c_n, one row per block. _rows selects
+    the member rows: a slice when the indices are 0..max, so that
+    feature_vector returns a view, and the index array otherwise.
     """
 
     profile: SpectrumProfile
@@ -163,7 +165,7 @@ class BasisSubset:
     _steps: np.ndarray = field(init=False, repr=False, compare=False)
     _start_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _start_logs: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray | slice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.profile.radius <= 0.0:
@@ -182,7 +184,7 @@ class BasisSubset:
         object.__setattr__(self, "_steps", steps.reshape(blocks, block))
         object.__setattr__(self, "_start_rows", starts[:, None].astype(float))
         object.__setattr__(self, "_start_logs", log_coeffs[starts][:, None])
-        object.__setattr__(self, "_rows", idx)
+        object.__setattr__(self, "_rows", slice(0, rows) if np.array_equal(idx, n) else idx)
 
     @property
     def radius(self) -> float:
@@ -210,11 +212,12 @@ def feature_vector(basis: BasisSubset, z) -> np.ndarray:
 
     psi_n(z) = c_n z^n e^{-|z|^2/2} by the recurrence psi_n = psi_{n-1} z
     c_n / c_{n-1}: one cumprod over rows 0..max(indices), then the member
-    rows. Each block of rows starts from its first value in log space
-    (ln c_n + n ln|z| - |z|^2/2), so products restart before they
-    underflow on bases with R^2 >= _RESTART_R2; smaller bases are one
-    block. The block length depends on the basis only, so every point
-    gets the same sequence of multiplies however many share a call.
+    rows (a view of the product when they are all of them). Each block of
+    rows starts from its first value in log space (ln c_n + n ln|z| -
+    |z|^2/2), so products restart before they underflow on bases with R^2
+    >= _RESTART_R2; smaller bases are one block. The block length depends
+    on the basis only, so every point gets the same sequence of multiplies
+    however many share a call.
     Accepts a scalar or an array of points; the indexed axis is last for
     scalars (shape (n,)) and first-from-last for arrays (shape (n, m)).
     """

@@ -67,9 +67,3 @@ class SampleSet:
                 "acceptance_rate": self.diagnostics.acceptance_rate,
             }
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SampleSet":
-        pts = np.array([complex(re, im) for re, im in data["points"]], dtype=complex)
-        return cls(points=pts, method=data["method"], params=dict(data["params"]),
-                   seed=int(data["seed"]))

@@ -225,6 +225,20 @@ def scalar_rejection_step(state, rng, envelope, max_proposals):
     raise hkpv.RejectionCapError(f"no acceptance after {max_proposals} proposals")
 
 
+def reference_add_point(state, z):
+    """Reference: the Householder update with w recomputed at z and the
+    rank-1 term formed by np.outer."""
+    c = state.complement
+    a = c @ hkpv.feature_vector(state.basis, z)
+    norm_a = np.linalg.norm(a)
+    abs_a1 = abs(a[0])
+    u = a.copy()
+    u[0] += (a[0] / abs_a1 if abs_a1 else 1.0) * norm_a
+    c[1:] -= np.outer(a[1:] / (norm_a * (norm_a + abs_a1)), u.conj() @ c)
+    state.complement = c[1:]
+    state.accepted.append(complex(z))
+
+
 def stream_state(rng):
     # pickled, so MT19937's key array compares by value
     return pickle.dumps(rng.bit_generator.state)
@@ -313,6 +327,65 @@ class TestSampleProjectionDpp:
     def test_orthonormal_vectors_maintained_n200(self):
         # Householder updates stay at working precision
         self.assert_complement_orthonormal(200, 15, 1e-12)
+
+    @staticmethod
+    def thinned_basis(radius, seed):
+        # a Bernoulli-thinned disk basis, as the projected route draws it
+        prof = spectrum_profile(radius)
+        keep = np.flatnonzero(np.random.default_rng(seed).random(prof.count) < prof.eigenvalues)
+        return BasisSubset(prof, tuple(int(i) for i in keep))
+
+    @pytest.mark.parametrize("seed", [0, 101, 105])
+    @pytest.mark.parametrize("make_basis", [
+        *[(lambda seed, n=n: conditioned_basis(n)) for n in (2, 20, 100)],
+        lambda seed: TestSampleProjectionDpp.thinned_basis(5.0, seed),
+    ], ids=["conditioned_n2", "conditioned_n20", "conditioned_n100", "projected_r5"])
+    def test_update_matches_reference_loop(self, make_basis, seed):
+        # the block column and the in-place zgeru give the reference's
+        # complement projector C* C to rounding, and the same points bit for
+        # bit. C itself is compared through C* C: when |a_1| << ||a||, the
+        # rounding of a_1 sets the phase of the reflection, which rotates
+        # the rows of C (by up to 1e-5 at N = 100) without moving their span
+        basis = make_basis(seed)
+        sup = hkpv.sup_feature_norm_sq(basis)
+        state, ref = hkpv.OrthoState(basis=basis), hkpv.OrthoState(basis=basis)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        while state.remaining > 0:
+            state.add_point(hkpv.rejection_step(state, rng, sup / state.remaining))
+            reference_add_point(ref, hkpv.rejection_step(ref, ref_rng, sup / ref.remaining))
+            c, c_ref = state.complement, ref.complement
+            assert np.max(np.abs(c.conj().T @ c - c_ref.conj().T @ c_ref)) <= 1e-13
+        ref_points = np.array(ref.accepted, dtype=complex)
+        assert np.array(state.accepted, dtype=complex).tobytes() == ref_points.tobytes()
+        drawn = hkpv.sample_projection_dpp(basis, np.random.default_rng(seed), sup_norm_sq=sup)
+        assert drawn.tobytes() == ref_points.tobytes()
+
+    def test_add_point_outside_last_block(self, monkeypatch):
+        # a point among the last block's reuses its column; any other point
+        # is evaluated, and either update leaves C C* = I with C w = 0
+        n = 20
+        basis = conditioned_basis(n)
+        state = hkpv.OrthoState(basis=basis)
+        rng = np.random.default_rng(19)
+        sup = hkpv.sup_feature_norm_sq(basis)
+        evaluations = []
+
+        def counted(basis, z):
+            evaluations.append(z)
+            return kernels.feature_vector(basis, z)
+
+        monkeypatch.setattr(hkpv, "feature_vector", counted)
+        for step in range(6):
+            z = hkpv.rejection_step(state, rng, sup / state.remaining)
+            if step % 2:
+                z = 0.31 * z - 0.2j  # not a point of the last block
+            evaluations.clear()
+            state.add_point(z)
+            assert evaluations == ([z] if step % 2 else [])
+            c = state.complement
+            assert np.max(np.abs(c @ c.conj().T - np.eye(len(c)))) <= 1e-13
+            w = kernels.feature_vector(basis, z)
+            assert np.max(np.abs(c @ w)) <= 1e-13 * np.linalg.norm(w)
 
     def test_exchangeability_first_vs_last(self):
         # the output set is exchangeable: the first-accepted and
