@@ -7,10 +7,8 @@ and floats are serialized with 17 significant digits, so output bytes do
 not depend on the worker count.
 
 Exit codes: 0 ok, 1 validation-check failure, 2 usage error, 3 numerical
-failure. --epsilon and --max-proposals fall back to the GINIBRE_EPSILON
-and GINIBRE_MAX_PROPOSALS environment variables when the flag is absent
-(flags win over the environment); either way epsilon must lie in (0, 1)
-and the proposal cap must be >= 1. A negative --seed is a usage error.
+failure. A proposal cap below 1, a projected --radius that is negative,
+NaN or too large to square, and a negative --seed are usage errors.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from functools import partial
@@ -39,17 +36,6 @@ EXIT_NUMERICAL = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _env(name: str, cast, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        print(f"ginibre: invalid {name}={raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -75,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disk radius: R for projected, target a for conditioned")
     p_sample.add_argument("--count", type=int, default=1, help="number of samples")
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--epsilon", type=float, default=None,
-                          help="spectrum tail tolerance (projected method)")
-    p_sample.add_argument("--max-proposals", type=int, default=None,
+    p_sample.add_argument("--max-proposals", type=int, default=hkpv.DEFAULT_MAX_PROPOSALS,
                           help="rejection-sampler proposal cap per point")
     p_sample.add_argument("--workers", type=int, default=1)
     p_sample.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -113,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 # sample
 
 
-def _validate_sample_args(args, epsilon: float, cap: int) -> str | None:
+def _validate_sample_args(args) -> str | None:
     if args.count < 1:
         return "--count must be >= 1"
     if args.workers < 1:
@@ -124,8 +108,9 @@ def _validate_sample_args(args, epsilon: float, cap: int) -> str | None:
         if args.radius is not None:
             return "matrix method takes no --radius (unbounded support)"
     elif args.method == "projected":
-        if args.radius is None or not 0 <= args.radius < math.inf:
-            return "projected method needs a finite --radius >= 0"
+        if args.radius is None or not (args.radius >= 0
+                                       and math.isfinite(args.radius * args.radius)):
+            return "projected method needs a --radius >= 0 with a finite square"
         if args.n is not None:
             return "projected method takes no --n (the count is random)"
     elif args.method == "conditioned":
@@ -133,31 +118,26 @@ def _validate_sample_args(args, epsilon: float, cap: int) -> str | None:
             return "conditioned method needs --n >= 1"
         if args.radius is None or not 0 < args.radius < math.inf:
             return "conditioned method needs a finite --radius > 0"
-    if not 0 < epsilon < 1:
-        return "--epsilon (or GINIBRE_EPSILON) must lie in (0, 1)"
-    if cap < 1:
-        return "--max-proposals (or GINIBRE_MAX_PROPOSALS) must be >= 1"
+    if args.max_proposals < 1:
+        return "--max-proposals must be >= 1"
     return None
 
 
-def _route(method: str, n: int | None, radius: float | None, epsilon: float, cap: int):
+def _route(method: str, n: int | None, radius: float | None, cap: int):
     """The batch function (seed, count, offset=0, workers=1) of a method."""
     if method == "matrix":
         return partial(pipelines.sample_matrix_batch, n)
     if method == "projected":
-        return pipelines.GinibreDiskSampler(radius, epsilon, max_proposals=cap).sample_batch
+        return pipelines.GinibreDiskSampler(radius, max_proposals=cap).sample_batch
     return pipelines.ConditionedSampler(n, radius, max_proposals=cap).sample_batch
 
 
 def _run_sample(args) -> int:
-    epsilon = args.epsilon if args.epsilon is not None else _env("GINIBRE_EPSILON", float, 1e-12)
-    cap = args.max_proposals if args.max_proposals is not None else _env(
-        "GINIBRE_MAX_PROPOSALS", int, hkpv.DEFAULT_MAX_PROPOSALS)
-    problem = _validate_sample_args(args, epsilon, cap)
+    problem = _validate_sample_args(args)
     if problem:
         print(f"ginibre sample: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    batch = _route(args.method, args.n, args.radius, epsilon, cap)
+    batch = _route(args.method, args.n, args.radius, args.max_proposals)
     samples = batch(args.seed, args.count, workers=args.workers)
 
     if args.format == "csv":
@@ -236,7 +216,7 @@ def _run_validate(args) -> int:
 
 
 def _bench_cell(method: str, n: int, count: int, seed: int):
-    batch = _route(method, n, math.sqrt(n), 1e-12, hkpv.DEFAULT_MAX_PROPOSALS)
+    batch = _route(method, n, math.sqrt(n), hkpv.DEFAULT_MAX_PROPOSALS)
     times = []
     rates = []
     for i in range(count):

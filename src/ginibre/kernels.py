@@ -1,4 +1,4 @@
-"""The five Ginibre kernels, their eigenfunctions and density oracles.
+"""The five Ginibre kernels and their eigenfunctions.
 
 Kernels: the infinite-rank plane kernel, its rank-N truncation, the
 projection onto a centered disk (with incomplete-gamma eigenvalues), the
@@ -9,9 +9,9 @@ SpectrumProfile is the one source of kernel coefficients: the disk
 eigenvalues lambda_n = P(n+1, R^2), 1 - lambda_n, and the basis norms
 ln gamma(n+1, R^2) = ln lambda_n + ln n!. spectrum_profile(R) tables the
 full-rank spectrum on B_R (the projected route); spectrum_profile(R,
-rank=N) that of the rank-N kernel (the Janossy oracle, and at R =
-sqrt(N) the conditioned route and the closed forms). A BasisSubset is an
-index set of a profile.
+rank=N) that of the rank-N kernel (at R = sqrt(N), the conditioned
+route and the closed forms). A BasisSubset is an index set of a
+profile.
 
 Eigenvalues and norms stay in log space: the norms gamma(n+1, R^2) =
 lambda_n n! overflow doubles from n = 171 on large disks. The
@@ -25,7 +25,6 @@ and the deviation bound) is a sum over feature_vector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,14 +49,12 @@ __all__ = [
     "radial_intensity",
     "IntensityBounds",
     "intensity_bounds",
-    "janossy_oracle",
-    "log_joint_density",
     "conditioned_kernel_max_deviation",
 ]
 
 _LOG_PI = math.log(math.pi)
 
-# Eigenvalues below this are dropped from tail accumulation entirely.
+# A full-rank spectrum table ends at the first eigenvalue past R^2 below this.
 _TAIL_CUTOFF_LOG = math.log(1e-40)
 
 # psi_0(z) = c_0 e^{-|z|^2/2} is a normal double while |z|^2 < ~1400. Bases
@@ -79,67 +76,57 @@ _TINY = np.finfo(float).tiny
 class SpectrumProfile:
     """Eigenvalues lambda_n = P(n+1, R^2) of the Ginibre kernel on B_R.
 
-    Stores the first `count` eigenvalues in both linear and log form along
-    with log(1 - lambda_n); `tail_log` is sum_{n >= count} log(1 - lambda_n)
-    so products over the full spectrum never truncate silently (0 for a
-    rank-N profile, whose spectrum ends at count = N).
+    Stores the eigenvalues in both linear and log form along with
+    log(1 - lambda_n). A full-rank table stops where the next eigenvalue
+    is below 1e-40; a rank-N table holds exactly n < N.
     """
 
     radius: float
-    epsilon: float
     eigenvalues: np.ndarray
     log_eigenvalues: np.ndarray
     log_one_minus: np.ndarray
-    tail_log: float
-    trace: float
 
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def trace(self) -> float:
+        """sum_n lambda_n over the table: R^2 on a full-rank table."""
+        return float(self.eigenvalues.sum())
+
     def log_hole_probability(self) -> float:
-        """log prod_{n>=0} (1 - lambda_n): no points on the disk."""
-        return float(self.log_one_minus.sum() + self.tail_log)
+        """log prod_n (1 - lambda_n): no points on the disk."""
+        return float(self.log_one_minus.sum())
 
 
-def spectrum_profile(radius: float, epsilon: float = 1e-12,
-                     rank: int | None = None) -> SpectrumProfile:
+def spectrum_profile(radius: float, rank: int | None = None) -> SpectrumProfile:
     """Build the eigenvalue profile of the Ginibre kernel projected on B_R.
 
-    Without a rank, the stored prefix ends at the first n with
-    lambda_n < epsilon and n > R^2 (the spectrum decays super-exponentially
-    past n ~ R^2); the remaining mass goes into tail_log / trace
-    accumulators. With rank=N the profile is that of the rank-N kernel
-    projected on B_R: exactly the indices n < N, and no tail.
+    Without a rank, the table ends at the first n > R^2 with lambda_n <
+    1e-40: the spectrum decays super-exponentially past n ~ R^2, and the
+    mass beyond is far below a double's rounding of the count law. With
+    rank=N the profile is that of the rank-N kernel projected on B_R:
+    exactly the indices n < N.
     """
-    if radius < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    r2 = radius * radius
+    if not (radius >= 0.0 and math.isfinite(r2)):
+        raise ValueError(f"radius must be >= 0 with a finite square, got {radius}")
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    r2 = radius * radius
     # Bennett's bound P(X >= r2 + d) <= exp(-d^2 / (2 (r2 + d/3))) for
-    # X ~ Poisson(r2) puts lambda_n below both stopping levels at the table end.
-    level = -math.log(min(epsilon, math.exp(_TAIL_CUTOFF_LOG)))
+    # X ~ Poisson(r2) puts lambda_n below 1e-40 at the table end.
+    level = -_TAIL_CUTOFF_LOG
     size = rank if rank is not None else math.ceil(
         r2 + level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * r2)) + 2
     n = np.arange(size)
     log_lam = log_regularized_lower_gamma(n + 1, r2)
-    lam = np.exp(log_lam)
-    if rank is None:
-        count = int(np.argmax((lam < epsilon) & (n > r2)))
-        end = count + int(np.argmax(log_lam[count:] < _TAIL_CUTOFF_LOG))
-    else:
-        count = end = rank
+    count = rank if rank is not None else int(np.argmax((log_lam < _TAIL_CUTOFF_LOG) & (n > r2)))
     return SpectrumProfile(
         radius=float(radius),
-        epsilon=float(epsilon),
-        eigenvalues=lam[:count],
+        eigenvalues=np.exp(log_lam)[:count],
         log_eigenvalues=log_lam[:count],
         log_one_minus=log_regularized_upper_gamma(n[:count] + 1, r2),
-        tail_log=float(np.log1p(-lam[count:end]).sum()),
-        trace=float(lam[:end].sum()),
     )
 
 
@@ -272,9 +259,8 @@ def truncated_kernel(n_rank: int, z1, z2):
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
     plane = SpectrumProfile(
-        radius=math.inf, epsilon=0.0, eigenvalues=np.ones(n_rank),
-        log_eigenvalues=np.zeros(n_rank), log_one_minus=np.full(n_rank, -np.inf),
-        tail_log=0.0, trace=float(n_rank))
+        radius=math.inf, eigenvalues=np.ones(n_rank),
+        log_eigenvalues=np.zeros(n_rank), log_one_minus=np.full(n_rank, -np.inf))
     return _kernel(BasisSubset(plane, tuple(range(n_rank))), z1, z2)
 
 
@@ -315,6 +301,13 @@ class IntensityBounds:
 
 
 def intensity_bounds(n_rank: int, r: float) -> IntensityBounds:
+    """Closed-form falloff bounds on the rank-N radial density at radius r.
+
+    With core = e^{-r^2} r^{2N} / (pi N!), the first omitted term of the
+    series in radial_intensity, the density lies above 1/pi - core (N+1)
+    / (N+1 - r^2) while r^2 < N+1 and below core N / (r^2 - N) once r^2
+    >= N (infinite at r^2 = N). Bounds that do not apply at r are None.
+    """
     if n_rank < 1:
         raise ValueError("rank must be >= 1")
     if r < 0.0:
@@ -322,7 +315,7 @@ def intensity_bounds(n_rank: int, r: float) -> IntensityBounds:
     n = n_rank
     r2 = r * r
     if r == 0.0:
-        log_core = -math.inf if n >= 1 else 0.0
+        log_core = -math.inf
     else:
         log_core = -r2 + 2 * n * math.log(r) - log_factorial(n)
     core = math.exp(log_core) / math.pi
@@ -333,80 +326,6 @@ def intensity_bounds(n_rank: int, r: float) -> IntensityBounds:
     if r2 >= n:
         upper = math.inf if r2 == n else core * n / (r2 - n)
     return IntensityBounds(lower=lower, upper=upper)
-
-
-# ---------------------------------------------------------------------------
-# density oracles (testing scale)
-
-_ORACLE_MAX_RANK = 12
-
-
-def janossy_oracle(n_rank: int, radius: float, points) -> float:
-    """k-point Janossy density of the truncated-projected process on B_R.
-
-    Computed two ways and cross-asserted: (i) hole probability times the
-    determinant of the quasi-inverse kernel matrix; (ii) the Cauchy-Binet
-    subset sum over k-subsets of the N eigenfunction indices. Intended as
-    a small-instance oracle, hence the rank cap.
-    """
-    pts = [complex(z) for z in points]
-    k = len(pts)
-    if not 1 <= n_rank <= _ORACLE_MAX_RANK:
-        raise ValueError(f"rank must be in 1..{_ORACLE_MAX_RANK}")
-    if k > n_rank:
-        raise ValueError(f"at most {n_rank} points supported, got {k}")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if any(abs(z) > radius * (1 + 1e-12) for z in pts):
-        raise ValueError("all points must lie in the closed disk")
-
-    prof = spectrum_profile(radius, rank=n_rank)
-    log_p, log_q = prof.log_eigenvalues, prof.log_one_minus
-    log_hole = prof.log_hole_probability()
-    if k == 0:
-        return math.exp(log_hole)
-
-    phi = feature_vector(BasisSubset(prof, tuple(range(n_rank))), pts).T  # (k, N)
-
-    # route (i): Det(I - K) * det(J(z_i, z_j)) with J = sum (lam/(1-lam)) phi phi*
-    jmat = (phi * np.exp(log_p - log_q)) @ phi.conj().T
-    det_route = math.exp(log_hole) * np.linalg.det(jmat).real
-
-    # route (ii): Cauchy-Binet over index subsets
-    weighted = phi * np.exp(0.5 * (log_p - log_q))
-    subset_sum = 0.0
-    for subset in itertools.combinations(range(n_rank), k):
-        sub = weighted[:, subset]
-        subset_sum += abs(np.linalg.det(sub)) ** 2
-    cb_route = math.exp(log_hole) * subset_sum
-
-    scale = max(abs(det_route), abs(cb_route), 1e-300)
-    if abs(det_route - cb_route) > 1e-8 * scale:
-        raise AssertionError(
-            f"janossy routes disagree: det={det_route!r} cauchy-binet={cb_route!r}"
-        )
-    return det_route
-
-
-def log_joint_density(n_rank: int, points) -> float:
-    """log joint density of the rank-N truncated process at an N-tuple.
-
-    (1/pi^N) prod_{p=0..N} 1/p! e^{-sum |z|^2} prod |z_p - z_q|^2; the
-    product of factorials runs to N inclusive, absorbing the 1/N! in the
-    determinant normalization.
-    """
-    pts = [complex(z) for z in points]
-    if len(pts) != n_rank:
-        raise ValueError("need exactly N points")
-    total = -n_rank * _LOG_PI - float(log_factorial(np.arange(n_rank + 1)).sum())
-    total -= sum(abs(z) ** 2 for z in pts)
-    for p in range(n_rank):
-        for q in range(p + 1, n_rank):
-            d = abs(pts[p] - pts[q])
-            if d == 0.0:
-                return -math.inf
-            total += 2.0 * math.log(d)
-    return total
 
 
 def conditioned_kernel_max_deviation(n_rank: int, radius: float = 1.0,

@@ -56,14 +56,10 @@ SEQUENTIAL_FAN_OUT_MIN = 64
 class GinibreDiskSampler:
     """Ginibre process on B_R via spectrum thinning + sequential sampling."""
 
-    def __init__(self, radius: float, epsilon: float = 1e-12,
-                 max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS):
-        if radius < 0.0:
-            raise ValueError("radius must be nonnegative")
-        self.radius = float(radius)
-        self.epsilon = float(epsilon)
+    def __init__(self, radius: float, max_proposals: int = hkpv.DEFAULT_MAX_PROPOSALS):
+        self.profile: SpectrumProfile = spectrum_profile(radius)
+        self.radius = self.profile.radius
         self.max_proposals = max_proposals
-        self.profile: SpectrumProfile = spectrum_profile(radius, epsilon)
         self.table = point_count.count_table(self.profile)
         self._sup_cache: dict[tuple[int, ...], float] = {}
 
@@ -88,7 +84,7 @@ class GinibreDiskSampler:
             )
         return SampleSet(
             points=points, method="projected_disk",
-            params={"R": self.radius, "epsilon": self.epsilon},
+            params={"R": self.radius},
             seed=seed, diagnostics=diagnostics,
         )
 
@@ -108,8 +104,8 @@ class ConditionedSampler:
         self.n_points = int(n_points)
         root_n = math.sqrt(self.n_points)
         self.target_radius = root_n if target_radius is None else float(target_radius)
-        if self.target_radius <= 0.0:
-            raise ValueError("target radius must be positive")
+        if not 0.0 < self.target_radius < math.inf:
+            raise ValueError(f"target radius must be positive and finite, got {target_radius}")
         self.max_proposals = max_proposals
         self.basis = conditioned_basis(self.n_points)
         self.sup_norm_sq = hkpv.sup_feature_norm_sq(self.basis)
@@ -156,7 +152,7 @@ def _draws(sampler, seed: int, size: int, start: int) -> list[SampleSet]:
     """Draws start .. start+size-1 of a sequential sampler.
 
     Workers receive the configured sampler itself, so its proposal cap
-    and epsilon hold for any worker count.
+    holds for any worker count.
     """
     return [_stream_sample(sampler, seed, start + i) for i in range(size)]
 
@@ -167,9 +163,9 @@ def _stream_sample(sampler, seed: int, index: int) -> SampleSet:
     return sampler.sample(np.random.default_rng(child), seed=child)
 
 
-def sample_ginibre_on_disk(radius: float, seed: int, epsilon: float = 1e-12) -> SampleSet:
+def sample_ginibre_on_disk(radius: float, seed: int) -> SampleSet:
     """One draw of the Ginibre process restricted to B_R."""
-    return _stream_sample(GinibreDiskSampler(radius, epsilon), seed, 0)
+    return _stream_sample(GinibreDiskSampler(radius), seed, 0)
 
 
 def sample_conditioned_truncated(n_points: int, target_radius: float, seed: int) -> SampleSet:

@@ -43,10 +43,10 @@ class IndicatorDraw:
 class CountTable:
     """Precomputed law of the top occupied index T.
 
-    pmf[n] = P(T = n) = lambda_n prod_{i>n}(1 - lambda_i) for n below the
-    profile truncation; hole_prob = prod_n (1 - lambda_n) is the mass of
-    "no index occupied". The epsilon-mass of T beyond the truncation is
-    folded into the last table entry and reported as leftover_mass.
+    pmf[n] = P(T = n) = lambda_n prod_{i>n}(1 - lambda_i) over the
+    profile's table; hole_prob = prod_n (1 - lambda_n) is the mass of "no
+    index occupied". Whatever rounding leaves of 1 - hole_prob - sum(pmf)
+    is folded into the last table entry and reported as leftover_mass.
     """
 
     hole_prob: float
@@ -57,11 +57,9 @@ class CountTable:
 
 def count_table(profile: SpectrumProfile) -> CountTable:
     log_q = profile.log_one_minus
-    # suffix[n] = sum_{i>n} log(1-lambda_i), including the tail beyond the table
-    suffix = np.concatenate(
-        (np.cumsum(log_q[::-1])[::-1][1:], [0.0])
-    ) + profile.tail_log
-    hole = math.exp(float(log_q.sum()) + profile.tail_log)
+    # suffix[n] = sum_{i>n} log(1-lambda_i)
+    suffix = np.concatenate((np.cumsum(log_q[::-1])[::-1][1:], [0.0]))
+    hole = math.exp(profile.log_hole_probability())
     pmf = np.exp(profile.log_eigenvalues + suffix)
     leftover = max(0.0, 1.0 - hole - float(pmf.sum()))
     if len(pmf):

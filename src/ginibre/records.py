@@ -31,7 +31,7 @@ class SampleSet:
     """One realization of a point process.
 
     points is a 1-D complex array; method is one of METHODS; params holds
-    the generating parameters (N and/or R, target radius, epsilon); seed
+    the generating parameters (N and/or R, target radius); seed
     is the 64-bit stream seed that reproduces the draw.
     """
 

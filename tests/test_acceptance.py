@@ -18,6 +18,8 @@ from ginibre import eigen, hkpv, kernels, pipelines, validation
 from ginibre.kernels import spectrum_profile
 from ginibre.streams import stream_rng
 
+from oracles import janossy_oracle
+
 SEED = 20250801
 WORKERS = 2
 
@@ -47,7 +49,7 @@ def hole_batch():
 def test_criterion_01_trace_identity():
     worst = 0.0
     for radius in (0.5, 1.0, 3.0, 10.0):
-        prof = spectrum_profile(radius, epsilon=1e-12)
+        prof = spectrum_profile(radius)
         worst = max(worst, abs(prof.trace - radius * radius))
     report(1, "trace identity", worst <= 1e-8,
            f"max |sum lambda - R^2| = {worst:.3e} <= 1e-8")
@@ -165,7 +167,7 @@ def test_criterion_09_janossy_dual_route():
                 pts.append(z)
         # janossy_oracle raises if the det route and the Cauchy-Binet
         # route disagree beyond 1e-8 relative
-        kernels.janossy_oracle(n, radius, pts)
+        janossy_oracle(n, radius, pts)
         trials += 1
     report(9, "Janossy dual-route oracle", trials == 100,
            f"{trials}/100 random configurations agree within 1e-8 relative")

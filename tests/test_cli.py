@@ -103,6 +103,14 @@ class TestSampleCommand:
         direct = pipelines.sample_conditioned_truncated(4, 1.5, seed=2)
         assert np.array_equal(rebuilt, direct.points)
 
+    def test_projected_json_params_are_the_radius(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert cli.main(["sample", "--method", "projected", "--radius", "0.5", "--count", "3",
+                         "--seed", "1", "--format", "json", "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["params"] == {"R": 0.5}
+        assert all(s["params"] == {"R": 0.5} for s in payload["samples"])
+
     def test_usage_errors_exit_2(self):
         assert cli.main(["sample", "--method", "matrix", "--radius", "2",
                          "--n", "3"]) == 2
@@ -113,24 +121,19 @@ class TestSampleCommand:
         assert cli.main(["sample", "--method", "projected", "--radius", "1",
                          "--workers", "0"]) == 2
 
-    @pytest.mark.parametrize("argv, env", [
-        ("sample --method conditioned --n 3 --radius inf", {}),
-        ("sample --method projected --radius nan", {}),
-        ("sample --method projected --radius inf", {}),
-        ("sample --method projected --radius 1 --epsilon 2", {}),
-        ("sample --method projected --radius 1 --epsilon nan", {}),
-        ("sample --method projected --radius 1", {"GINIBRE_EPSILON": "5"}),
-        ("sample --method conditioned --n 3 --radius 1 --max-proposals 0", {}),
-        ("sample --method conditioned --n 3 --radius 1", {"GINIBRE_MAX_PROPOSALS": "0"}),
-        ("bench --methods conditioned --sizes 0", {}),
-        ("bench --methods matrix --sizes -2", {}),
-        ("sample --method matrix --n 3 --seed -1", {}),
-        ("validate --seed -1", {}),
-        ("bench --seed -1", {}),
+    @pytest.mark.parametrize("argv", [
+        "sample --method conditioned --n 3 --radius inf",
+        "sample --method projected --radius nan",
+        "sample --method projected --radius inf",
+        "sample --method projected --radius 1e200",  # finite, but R^2 overflows
+        "sample --method conditioned --n 3 --radius 1 --max-proposals 0",
+        "bench --methods conditioned --sizes 0",
+        "bench --methods matrix --sizes -2",
+        "sample --method matrix --n 3 --seed -1",
+        "validate --seed -1",
+        "bench --seed -1",
     ])
-    def test_bad_values_exit_2_with_one_line(self, argv, env, monkeypatch, capsys):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_bad_values_exit_2_with_one_line(self, argv, capsys):
         assert cli.main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -149,20 +152,6 @@ class TestSampleCommand:
         rc = cli.main(["sample", "--method", "matrix", "--n", "5", "--count", "2",
                        "--seed", "1", "-o", str(tmp_path / "x.csv")])
         assert rc == 3
-
-    @pytest.mark.parametrize("name, value, flag", [
-        ("GINIBRE_EPSILON", "not-a-number", ["--epsilon", "1e-10"]),
-        ("GINIBRE_MAX_PROPOSALS", "abc", ["--max-proposals", "1000"]),
-    ], ids=["epsilon", "max_proposals"])
-    def test_env_epsilon_flag_precedence(self, tmp_path, monkeypatch, name, value, flag):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(SystemExit):
-            cli.main(["sample", "--method", "projected", "--radius", "1",
-                      "--seed", "1", "-o", str(tmp_path / "x.csv")])
-        # explicit flag wins and the env var is never parsed
-        rc = cli.main(["sample", "--method", "projected", "--radius", "1",
-                       "--seed", "1", *flag, "-o", str(tmp_path / "y.csv")])
-        assert rc == 0
 
 
 class TestIntensityCommand:

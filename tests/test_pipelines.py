@@ -69,6 +69,11 @@ class TestDiskRoute:
         s = pipelines.sample_ginibre_on_disk(0.0, seed=3)
         assert len(s) == 0
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf, 1e200])
+    def test_rejects_radius_without_finite_square(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            pipelines.GinibreDiskSampler(radius)
+
     def test_proposal_cap_holds_with_workers(self):
         sampler = pipelines.GinibreDiskSampler(3.0, max_proposals=1)
         with pytest.raises(RejectionCapError):
@@ -107,6 +112,11 @@ class TestConditionedRoute:
     def test_default_target_is_root_n(self):
         sampler = pipelines.ConditionedSampler(4)
         assert sampler.target_radius == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_target_outside_positive_reals(self, target):
+        with pytest.raises(ValueError, match="target radius"):
+            pipelines.ConditionedSampler(3, target)
 
     def test_proposal_cap_holds_with_workers(self):
         sampler = pipelines.ConditionedSampler(20, max_proposals=1)
