@@ -7,8 +7,8 @@ and floats are serialized with 17 significant digits, so output bytes do
 not depend on the worker count.
 
 Exit codes: 0 ok, 1 validation-check failure, 2 usage error, 3 numerical
-failure. A proposal cap below 1, a projected --radius that is negative,
-NaN or too large to square, and a negative --seed are usage errors.
+failure. A proposal cap below 1, a --radius that the method's sampler
+rejects, and a negative --seed are usage errors.
 """
 
 from __future__ import annotations
@@ -108,16 +108,15 @@ def _validate_sample_args(args) -> str | None:
         if args.radius is not None:
             return "matrix method takes no --radius (unbounded support)"
     elif args.method == "projected":
-        if args.radius is None or not (args.radius >= 0
-                                       and math.isfinite(args.radius * args.radius)):
-            return "projected method needs a --radius >= 0 with a finite square"
+        if args.radius is None:
+            return "projected method needs --radius"
         if args.n is not None:
             return "projected method takes no --n (the count is random)"
     elif args.method == "conditioned":
         if args.n is None or args.n < 1:
             return "conditioned method needs --n >= 1"
-        if args.radius is None or not 0 < args.radius < math.inf:
-            return "conditioned method needs a finite --radius > 0"
+        if args.radius is None:
+            return "conditioned method needs --radius"
     if args.max_proposals < 1:
         return "--max-proposals must be >= 1"
     return None
@@ -137,7 +136,11 @@ def _run_sample(args) -> int:
     if problem:
         print(f"ginibre sample: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    batch = _route(args.method, args.n, args.radius, args.max_proposals)
+    try:
+        batch = _route(args.method, args.n, args.radius, args.max_proposals)
+    except ValueError as exc:  # the samplers check the --radius value
+        print(f"ginibre sample: {args.method} sampler: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     samples = batch(args.seed, args.count, workers=args.workers)
 
     if args.format == "csv":

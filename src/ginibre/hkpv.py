@@ -9,10 +9,12 @@ identity and loses one row per accepted point, by one Householder
 reflection applied in place as a single BLAS rank-1 update (zgeru). Each
 conditional is sampled by rejection from the uniform law on the disk
 under a precomputed sup bound. Proposals are evaluated in blocks, one
-conditional_density call per block, while the random stream is consumed
-exactly as by one proposal at a time. The accepted point's coordinates
-C w are the block's column at that point, so accepting it evaluates no
-feature vector.
+conditional_density call per block, and the block's first accepted
+proposal is the point. The rest of the block is discarded; the draw
+stays exact, as the point is the first acceptance in a sequence of iid
+proposals and the next point draws fresh ones. The accepted point's
+coordinates C w are the block's column at that point, so accepting it
+evaluates no feature vector.
 
 Every product with C goes through scipy's BLAS, on Fortran-ordered
 transposes of the C-ordered arrays, so no operand is copied. numpy links
@@ -170,13 +172,6 @@ def conditional_density(state: OrthoState, z):
     return float(p[0]) if v.ndim == 1 else p
 
 
-def _disk_point(radius: float, u_radius: float, u_angle: float) -> complex:
-    """Uniform point on the disk from two uniforms, as one proposal draws it."""
-    r = radius * math.sqrt(u_radius)
-    theta = -math.pi + 2.0 * math.pi * u_angle
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
 def rejection_step(state: OrthoState, rng: np.random.Generator,
                    envelope: float,
                    diagnostics: RejectionDiagnostics | None = None,
@@ -185,9 +180,10 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
 
     Each proposal reads three doubles (radius, angle, u) and is accepted
     when u * envelope < p_i(z). A block of about 1.5x the expected number
-    of proposals is drawn and evaluated with one conditional_density call;
-    the first acceptance wins, and the stream is rewound and redrawn up to
-    it, so it ends where a one-at-a-time loop would leave it.
+    of proposals is drawn and evaluated with one conditional_density call,
+    and its first accepted proposal is returned; the proposals after it
+    are discarded, their doubles consumed. diagnostics counts the
+    proposals up to and including the accepted one.
     """
     radius = state.basis.radius
     block = min(math.ceil(1.5 * envelope * math.pi * radius * radius),
@@ -196,7 +192,6 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
     tried = 0
     while tried < max_proposals:
         size = min(block, max_proposals - tried)
-        saved = rng.bit_generator.state
         u_radius, u_angle, u = rng.random(3 * size).reshape(size, 3).T
         r = radius * np.sqrt(u_radius)
         theta = -math.pi + 2.0 * math.pi * u_angle
@@ -204,11 +199,9 @@ def rejection_step(state: OrthoState, rng: np.random.Generator,
         accept = u * envelope < conditional_density(state, z)
         k = int(accept.argmax())
         if accept[k]:
-            rng.bit_generator.state = saved
-            rng.random(3 * (k + 1))
             if diagnostics is not None:
                 diagnostics.record_step(tried + k + 1)
-            return _disk_point(radius, float(u_radius[k]), float(u_angle[k]))
+            return complex(z[k])
         tried += size
     raise RejectionCapError(
         f"no acceptance after {max_proposals} proposals (envelope={envelope})"

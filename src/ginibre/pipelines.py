@@ -207,8 +207,7 @@ def acceptance_probability_all_in_disk(n_points: int) -> float:
 
 
 def conditioned_by_rejection(n_points: int, rng: np.random.Generator,
-                             seed: int = -1,
-                             retry_cap: int = REJECTION_RETRY_CAP) -> SampleSet:
+                             seed: int = -1) -> SampleSet:
     """Exact conditioned draw by retrying the matrix route.
 
     Reference oracle for the conditioned pipeline at small N: redraw until
@@ -218,7 +217,7 @@ def conditioned_by_rejection(n_points: int, rng: np.random.Generator,
     if n_points > 12:
         raise ValueError("rejection conditioning is an oracle; use N <= 12")
     root_n = math.sqrt(n_points)
-    for attempt in range(1, retry_cap + 1):
+    for attempt in range(1, REJECTION_RETRY_CAP + 1):
         mat = matrix_sampler.sample_ginibre_matrix(n_points, rng)
         pts = eigen.eigenvalues(mat)
         if np.all(np.abs(pts) <= root_n):
@@ -228,5 +227,5 @@ def conditioned_by_rejection(n_points: int, rng: np.random.Generator,
                 seed=seed, notes={"retries": attempt},
             )
     raise hkpv.RejectionCapError(
-        f"no all-inside draw after {retry_cap} attempts at N={n_points}"
+        f"no all-inside draw after {REJECTION_RETRY_CAP} attempts at N={n_points}"
     )

@@ -53,6 +53,10 @@ KS_LEVEL = 0.01
 # Family-wise error rate of the suite's stochastic checks (Holm).
 FAMILY_LEVEL = 0.01
 
+# Radial histogram bins of intensity_check, and its stated L1 limit.
+INTENSITY_BINS = 32
+INTENSITY_L1_LIMIT = 0.03
+
 
 @dataclass
 class CheckResult:
@@ -181,8 +185,7 @@ def kostlan_check(points: np.ndarray, label: str = "") -> list[CheckResult]:
     ]
 
 
-def intensity_check(samples: list[SampleSet], bins: int = 32, l1_limit: float = 0.03,
-                    label: str = "") -> list[CheckResult]:
+def intensity_check(samples: list[SampleSet], label: str = "") -> list[CheckResult]:
     """Radial histogram against the applicable closed-form intensity.
 
     matrix: rank-N radial intensity on [0, sqrt(N)+4];
@@ -199,45 +202,43 @@ def intensity_check(samples: list[SampleSet], bins: int = 32, l1_limit: float = 
 
     if method == "matrix":
         n = int(samples[0].params["N"])
-        rmax = math.sqrt(n) + 4.0
-        edges = np.linspace(0.0, rmax, bins + 1)
+        top = math.sqrt(n) + 4.0
         radii = np.concatenate([s.radii() for s in samples])
         total = len(samples) * n
         dens = lambda r: kernels.radial_intensity(n, r) * 2 * math.pi * r / n
     elif method == "projected_disk":
-        rad = float(samples[0].params["R"])
-        edges = np.linspace(0.0, rad, bins + 1)
+        rad = top = float(samples[0].params["R"])
         radii = np.concatenate([s.radii() for s in samples])
         total = len(radii)
         dens = lambda r: 2 * r / (rad * rad)  # flat 1/pi profile over the disk
     elif method == "conditioned":
         n = int(samples[0].params["N"])
-        a = float(samples[0].params["a"])
-        scale = a / math.sqrt(n)
-        edges = np.linspace(0.0, math.sqrt(n), bins + 1)
+        top = math.sqrt(n)
+        scale = float(samples[0].params["a"]) / top
         radii = np.concatenate([s.radii() for s in samples]) / scale
         total = len(samples) * n
         dens = lambda r: kernels.conditioned_kernel(n, r, r).real * 2 * math.pi * r / n
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    edges = np.linspace(0.0, top, INTENSITY_BINS + 1)
     observed = np.histogram(radii, bins=edges)[0] / total
     expected = np.array([
-        _quad_fraction(dens, edges[i], edges[i + 1]) for i in range(bins)
+        _quad_fraction(dens, edges[i], edges[i + 1]) for i in range(INTENSITY_BINS)
     ])
     l1 = float(np.abs(observed - expected).sum())
     # Multinomial sampling noise alone contributes E|O-E| per bin; below
     # the stated batch sizes the limit is floored at noise mean + 3 sd so
     # reduced-scale runs stay meaningful. At the stated sizes the floor is
-    # far below l1_limit and the stated tolerance is what binds.
+    # far below INTENSITY_L1_LIMIT and the stated tolerance is what binds.
     var_bins = expected * (1 - expected) / max(total, 1)
     noise_mean = float(np.sqrt(2.0 * var_bins / math.pi).sum())
     noise_sd = math.sqrt(float(var_bins.sum()) * (1.0 - 2.0 / math.pi))
-    limit_eff = max(l1_limit, noise_mean + 3.0 * noise_sd)
+    limit_eff = max(INTENSITY_L1_LIMIT, noise_mean + 3.0 * noise_sd)
     return [CheckResult(
         name=f"intensity_l1_{method}{label}", theoretical=0.0, empirical=l1,
         tolerance={"rule": "l1-absolute", "limit": limit_eff,
-                   "stated_limit": l1_limit, "noise_mean": noise_mean},
+                   "stated_limit": INTENSITY_L1_LIMIT, "noise_mean": noise_mean},
         sample_size=len(samples), passed=l1 <= limit_eff,
     )]
 

@@ -126,6 +126,7 @@ class TestSampleCommand:
         "sample --method projected --radius nan",
         "sample --method projected --radius inf",
         "sample --method projected --radius 1e200",  # finite, but R^2 overflows
+        "sample --method projected --radius 1e150",  # R^2 finite, its table is not
         "sample --method conditioned --n 3 --radius 1 --max-proposals 0",
         "bench --methods conditioned --sizes 0",
         "bench --methods matrix --sizes -2",

@@ -213,18 +213,6 @@ class TestRejectionStep:
             hkpv.rejection_step(state, rng, 1e12, max_proposals=50)
 
 
-def scalar_rejection_step(state, rng, envelope, max_proposals):
-    """Reference: one proposal at a time, (radius, angle, u) in stream order."""
-    radius = state.basis.radius
-    for attempt in range(1, max_proposals + 1):
-        r = radius * math.sqrt(rng.random())
-        theta = rng.uniform(-math.pi, math.pi)
-        z = complex(r * math.cos(theta), r * math.sin(theta))
-        if rng.random() * envelope < hkpv.conditional_density(state, z):
-            return z, attempt
-    raise hkpv.RejectionCapError(f"no acceptance after {max_proposals} proposals")
-
-
 def reference_add_point(state, z):
     """Reference: the Householder update with w recomputed at z and the
     rank-1 term formed by np.outer."""
@@ -245,7 +233,8 @@ def stream_state(rng):
 
 
 class TestBlockStream:
-    """The block step reads the stream exactly as the one-proposal loop."""
+    """A step reads three doubles (radius, angle, u) for every proposal of
+    every block it evaluates, and returns the block's first acceptance."""
 
     BASES = {
         **{f"conditioned_n{n}": (lambda n=n: conditioned_basis(n)) for n in (1, 3, 20, 100)},
@@ -258,22 +247,40 @@ class TestBlockStream:
         lambda: np.random.Generator(np.random.MT19937(5)),
     ], ids=["pcg64", "mt19937"])
     @pytest.mark.parametrize("name", list(BASES))
-    def test_same_points_attempts_and_state(self, name, make_rng):
+    def test_three_doubles_per_evaluated_proposal(self, name, make_rng, monkeypatch):
         basis = self.BASES[name]()
+        radius = basis.radius
         sup = hkpv.sup_feature_norm_sq(basis)
-        ref_state, block_state = hkpv.OrthoState(basis=basis), hkpv.OrthoState(basis=basis)
-        ref_rng, block_rng = make_rng(), make_rng()
+        state, rng, ref_rng = hkpv.OrthoState(basis=basis), make_rng(), make_rng()
+        density, blocks = hkpv.conditional_density, []
+
+        def recorded(state, z):
+            p = density(state, z)
+            blocks.append((z.copy(), p))
+            return p
+
+        monkeypatch.setattr(hkpv, "conditional_density", recorded)
         diag = RejectionDiagnostics()
-        while block_state.remaining > 0:
-            envelope = sup / block_state.remaining
-            z_ref, attempts = scalar_rejection_step(ref_state, ref_rng, envelope, 10**6)
+        while state.remaining > 0:
+            envelope = sup / state.remaining
+            blocks.clear()
             before = diag.proposals
-            z = hkpv.rejection_step(block_state, block_rng, envelope, diagnostics=diag)
-            assert np.complex128(z).tobytes() == np.complex128(z_ref).tobytes()
-            assert diag.proposals - before == attempts
-            assert stream_state(block_rng) == stream_state(ref_rng)
-            ref_state.add_point(z_ref)
-            block_state.add_point(z)
+            z = hkpv.rejection_step(state, rng, envelope, diagnostics=diag)
+            tried = 0
+            for b, (points, p) in enumerate(blocks):
+                u_radius, u_angle, u = ref_rng.random(3 * len(points)).reshape(-1, 3).T
+                r = radius * np.sqrt(u_radius)
+                theta = -math.pi + 2.0 * math.pi * u_angle
+                assert points.tobytes() == (r * np.cos(theta) + 1j * (r * np.sin(theta))).tobytes()
+                accepted = np.flatnonzero(u * envelope < p)
+                if b < len(blocks) - 1:
+                    assert accepted.size == 0
+                    tried += len(points)
+            k = accepted[0]
+            assert np.complex128(z).tobytes() == points[k].tobytes()
+            assert diag.proposals - before == tried + k + 1
+            assert stream_state(rng) == stream_state(ref_rng)
+            state.add_point(z)
 
     def test_cap_consumes_exactly_three_doubles_per_proposal(self):
         # 2048 basis functions cap the block at 32 proposals; 37 = 32 + 5

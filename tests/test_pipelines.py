@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import gammainc
 
 from ginibre import hkpv, kernels, pipelines
 from ginibre.hkpv import RejectionCapError
@@ -129,6 +130,36 @@ class TestConditionedRoute:
         samples = sampler.sample_batch(21, 2000)
         [check] = validation.intensity_check(samples)
         assert check.passed, check.tolerance
+
+    @staticmethod
+    def kostlan_moduli(points):
+        """z of the mean of sum |z|^2, and the KS p of max |z|^2 (one per
+        draw), for N-point draws on B_sqrt(N). The |z|^2 are independent
+        Gamma(k) variables truncated to [0, N], k = 1..N (Kostlan 1992), so
+        E sum |z|^2 = sum_k k P(k+1, N) / P(k, N) (196.627 at N = 20) and
+        max |z|^2 has CDF prod_k P(k, x) / P(k, N)."""
+        m, n = points.shape
+        k = np.arange(1, n + 1)
+        p_n = gammainc(k, n)
+        mean = float(np.sum(k * gammainc(k + 1, n) / p_n))
+        sums = np.sum(np.abs(points) ** 2, axis=1)
+        z = (sums.mean() - mean) / (sums.std(ddof=1) / math.sqrt(m))
+        top = np.max(np.abs(points) ** 2, axis=1)
+        cdf = lambda x: np.prod(gammainc(k[:, None], np.atleast_1d(x)) / p_n[:, None], axis=0)
+        return z, scipy_stats.kstest(top, cdf).pvalue
+
+    def test_kostlan_moduli_n20(self):
+        n, m = 20, 1000
+        points = np.stack([s.points for s in pipelines.ConditionedSampler(n).sample_batch(1, m)])
+        z, pvalue = self.kostlan_moduli(points)
+        assert abs(z) <= 4.0 and pvalue > 0.01, (z, pvalue)
+        # negative control: iid uniform points on B_sqrt(N) have E sum |z|^2
+        # = N^2 / 2 = 200, about 3.7 sd from 196.627 at this m; the KS test
+        # on the largest modulus is what rejects them
+        rng = np.random.default_rng(1)
+        uniform = np.sqrt(n * rng.random((m, n))) * np.exp(2j * math.pi * rng.random((m, n)))
+        z, pvalue = self.kostlan_moduli(uniform)
+        assert abs(z) > 4.0 or pvalue <= 0.01, (z, pvalue)
 
 
 class InlinePool:

@@ -10,8 +10,10 @@ must keep every sampled byte prints the same lines as its parent.
   300 --seed 11``;
 - for each ``--seeds`` value S, ``validate_S_report``: the ``validate
   --scale 0.1`` report without ``runtime_seconds``, as sorted-key JSON;
-  and ``validate_S_decisions``: its checks' ``(name, passed,
-  empirical)``.
+  ``validate_S_decisions``: its checks' ``(name, passed, empirical)``;
+  and ``validate_S_failed``: the names of its failed checks, comma
+  separated, or ``-`` (a name, not a digest, so that a change that
+  re-rolls the draws shows which checks fail at which seed).
 
 BLAS runs on one thread (OPENBLAS_NUM_THREADS=1, set before numpy
 loads), because from N of about 74 up the matrix route's bytes depend
@@ -59,11 +61,18 @@ def main(argv=None) -> int:
             print(name, _digest(path.read_bytes()), flush=True)
     for seed in args.seeds:
         report = json.loads(validation.run_validation_suite(seed=seed, scale=0.1).to_json())
-        del report["runtime_seconds"]
-        decisions = [[c["name"], c["passed"], c["empirical"]] for c in report["checks"]]
-        print(f"validate_{seed}_report", _digest(json.dumps(report, sort_keys=True).encode()))
-        print(f"validate_{seed}_decisions", _digest(json.dumps(decisions).encode()), flush=True)
+        print("\n".join(validate_records(seed, report)), flush=True)
     return 0
+
+
+def validate_records(seed: int, report: dict) -> list[str]:
+    """The validate_S_* lines of a report, as parsed from its JSON."""
+    report = {k: v for k, v in report.items() if k != "runtime_seconds"}
+    decisions = [[c["name"], c["passed"], c["empirical"]] for c in report["checks"]]
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    return [f"validate_{seed}_report {_digest(json.dumps(report, sort_keys=True).encode())}",
+            f"validate_{seed}_decisions {_digest(json.dumps(decisions).encode())}",
+            f"validate_{seed}_failed {','.join(failed) or '-'}"]
 
 
 if __name__ == "__main__":
